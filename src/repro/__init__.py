@@ -12,32 +12,14 @@ Quickstart::
     ctx = ExperimentContext(result)
     run_experiment("table1", ctx).print()
 
-See DESIGN.md for the system inventory and the per-experiment index.
+The names below load on first access (:mod:`repro._exports`), so
+``import repro`` itself imports no subpackage.  See DESIGN.md for the
+system inventory and the per-experiment index.
 """
 
-from .core import (
-    COVID19,
-    ERAS,
-    SETUP,
-    STABLE,
-    Contract,
-    ContractStatus,
-    ContractType,
-    Era,
-    MarketDataset,
-    Month,
-    Post,
-    Rating,
-    Thread,
-    User,
-    Visibility,
-    era_of,
-    load_dataset,
-    month_of,
-    save_dataset,
-)
-from .report import EXPERIMENTS, ExperimentContext, ExperimentReport, run_experiment
-from .synth import MarketSimulator, SimulationConfig, SimulationResult, generate_market
+from typing import TYPE_CHECKING
+
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -71,3 +53,45 @@ __all__ = [
     "generate_market",
     "__version__",
 ]
+
+if TYPE_CHECKING:
+    from .core import (
+        COVID19,
+        ERAS,
+        SETUP,
+        STABLE,
+        Contract,
+        ContractStatus,
+        ContractType,
+        Era,
+        MarketDataset,
+        Month,
+        Post,
+        Rating,
+        Thread,
+        User,
+        Visibility,
+        era_of,
+        load_dataset,
+        month_of,
+        save_dataset,
+    )
+    from .report import EXPERIMENTS, ExperimentContext, ExperimentReport, run_experiment
+    from .synth import MarketSimulator, SimulationConfig, SimulationResult, generate_market
+else:
+    __getattr__, __dir__ = lazy_exports(globals(), {
+        "core": (
+            "COVID19", "ERAS", "SETUP", "STABLE", "Contract", "ContractStatus",
+            "ContractType", "Era", "MarketDataset", "Month", "Post", "Rating",
+            "Thread", "User", "Visibility", "era_of", "load_dataset",
+            "month_of", "save_dataset",
+        ),
+        "report": (
+            "EXPERIMENTS", "ExperimentContext", "ExperimentReport",
+            "run_experiment",
+        ),
+        "synth": (
+            "MarketSimulator", "SimulationConfig", "SimulationResult",
+            "generate_market",
+        ),
+    })

@@ -191,8 +191,10 @@ def class_activity_series(
         raise ValueError("role must be 'made' or 'accepted'")
     month_positions = {month: i for i, month in enumerate(model.months)}
     wanted = set(types)
+    # Keyed in ``types`` order: a set's iteration order follows the
+    # string hash seed, and the figures render the sections in key order.
     series: Dict[ContractType, Dict[int, Dict[Month, int]]] = {
-        ctype: {} for ctype in wanted
+        ctype: {} for ctype in types
     }
     for contract in dataset.contracts:
         if contract.ctype not in wanted:

@@ -33,14 +33,13 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
-from .blockchain.rates import RateOracle
-from .core.io import load_dataset, save_dataset
-from .report.experiments import EXPERIMENTS, ExperimentContext, run_experiment
-from .synth.marketsim import SimulationResult
 from .synth.config import SimulationConfig
+
+if TYPE_CHECKING:
+    from .synth.marketsim import SimulationResult
 
 __all__ = ["main", "build_parser"]
 
@@ -375,9 +374,12 @@ def _engine_overrides(args) -> dict:
 
 def _load_or_generate(args) -> SimulationResult:
     if getattr(args, "data", None):
-        dataset = load_dataset(args.data)
         from .blockchain.chain import Ledger
-        from .synth.marketsim import SimulationTruth
+        from .blockchain.rates import RateOracle
+        from .core.io import load_dataset
+        from .synth.marketsim import SimulationResult, SimulationTruth
+
+        dataset = load_dataset(args.data)
 
         return SimulationResult(
             dataset=dataset,
@@ -415,6 +417,8 @@ def _generate_direct(args) -> SimulationResult:
 
 
 def _cmd_generate(args) -> int:
+    from .core.io import save_dataset
+
     started = time.time()
     result = _generate_direct(args)
     save_dataset(result.dataset, args.out)
@@ -426,6 +430,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .report.experiments import EXPERIMENTS, ExperimentContext, run_experiment
+
     wanted = list(EXPERIMENTS) if "all" in args.ids else args.ids
     unknown = [i for i in wanted if i not in EXPERIMENTS]
     if unknown:
@@ -448,6 +454,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .report.experiments import EXPERIMENTS, ExperimentContext
+
     wanted = args.ids if args.ids and "all" not in args.ids else list(EXPERIMENTS)
     unknown = [i for i in wanted if i not in EXPERIMENTS]
     if unknown:
@@ -896,6 +904,7 @@ def _cmd_eras(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .core.io import load_dataset
     from .core.validate import validate_dataset
 
     dataset = load_dataset(args.data)

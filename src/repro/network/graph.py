@@ -14,12 +14,14 @@ Degrees count *distinct* counterparties, so they measure connectivity
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
 
-import networkx as nx
 import numpy as np
 
 from ..core.entities import Contract
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ContractGraph", "DEGREE_KINDS"]
 
@@ -101,7 +103,13 @@ class ContractGraph:
     # ------------------------------------------------------------------ #
 
     def to_networkx(self, kind: str = "raw") -> "nx.Graph":
-        """Export as a networkx graph (directed for inbound/outbound)."""
+        """Export as a networkx graph (directed for inbound/outbound).
+
+        networkx loads here, on first export: degree analyses and the
+        streaming kernels use the adjacency sets and never import it.
+        """
+        import networkx as nx
+
         if kind == "raw":
             graph: nx.Graph = nx.Graph()
             graph.add_nodes_from(self._nodes)

@@ -10,21 +10,30 @@ single code path regenerates everything the paper reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import (
+    FEATURE_NAMES,
     class_activity_series,
     cluster_cold_starters,
+    cohort_reputation_trajectories,
     cold_start_summary,
     completion_times,
     concentration_curves,
+    contract_funnel,
     contract_taxonomy,
+    dispute_rate_by_month,
+    dispute_summary,
+    disputed_goods,
+    era_profiles,
     fit_latent_classes,
+    funnel_by_era,
     key_share_by_month,
     monthly_growth,
     payment_evolution,
     product_evolution,
+    reputation_concentration_by_month,
+    stimulus_test,
     top_flows,
     top_payment_methods,
     top_trading_activities,
@@ -41,7 +50,7 @@ from ..analysis.coldstart import CLUSTER_VARIABLES
 from ..analysis.taxonomy import STATUS_ORDER, TYPE_ORDER
 from ..analysis.values import estimate_dataset_values
 from ..blockchain.verify import verify_high_value_contracts
-from ..core.entities import ContractType
+from ..core.entities import ContractType, Visibility
 from ..network.degrees import dataset_degree_distributions, degree_growth
 from ..network.powerlaw import fit_power_law
 from ..obs.tracer import get_tracer
@@ -49,6 +58,7 @@ from ..robust.parallel import forked_map
 from ..robust.retry import RetryPolicy, run_with_policy
 from ..runs.contract import ExperimentResult, result_from_outcome
 from ..synth.marketsim import SimulationResult
+from .artefact import ExperimentReport
 from .figures import render_series, sparkline
 from .tables import format_count_share, format_pct, format_usd, render_table
 
@@ -61,22 +71,6 @@ __all__ = [
     "run_experiment",
     "run_all_experiments",
 ]
-
-
-@dataclass
-class ExperimentReport:
-    """One reproduced table/figure: id, title, printable lines, raw data."""
-
-    experiment_id: str
-    title: str
-    lines: List[str]
-    data: Any = None
-
-    def text(self) -> str:
-        return "\n".join([self.title, ""] + self.lines)
-
-    def print(self) -> None:  # noqa: A003 - deliberate, mirrors report usage
-        print(self.text())
 
 
 class ExperimentContext:
@@ -156,8 +150,6 @@ def table2(ctx: ExperimentContext) -> ExperimentReport:
     table = visibility_table(ctx.dataset)
     headers = ["Type\\Visibility", "Private", "Public", "Total"]
     rows: List[List[object]] = []
-    from ..core.entities import Visibility
-
     for ctype in TYPE_ORDER:
         total = table.created_total(ctype)
         private = table.created.get((ctype, Visibility.PRIVATE), 0)
@@ -271,8 +263,6 @@ def table5(ctx: ExperimentContext) -> ExperimentReport:
 
 def table6(ctx: ExperimentContext) -> ExperimentReport:
     model = ctx.latent_model()
-    from ..analysis.latent import FEATURE_NAMES
-
     headers = ["Class"] + [name.replace("_", " ") for name in FEATURE_NAMES] + [
         "Weight", "Behaviour",
     ]
@@ -660,8 +650,6 @@ def sec45(ctx: ExperimentContext) -> ExperimentReport:
 
 
 def disputes(ctx: ExperimentContext) -> ExperimentReport:
-    from ..analysis.disputes import dispute_rate_by_month, dispute_summary, disputed_goods
-
     summary = dispute_summary(ctx.dataset)
     monthly = dispute_rate_by_month(ctx.dataset)
     lines = [
@@ -691,8 +679,6 @@ def disputes(ctx: ExperimentContext) -> ExperimentReport:
 
 
 def eras(ctx: ExperimentContext) -> ExperimentReport:
-    from ..analysis.eras_summary import era_profiles, stimulus_test
-
     profiles = era_profiles(ctx.dataset)
     headers = ["era", "contracts", "/month", "completed", "public", "members", "new"]
     rows = [
@@ -726,8 +712,6 @@ def eras(ctx: ExperimentContext) -> ExperimentReport:
 
 
 def funnel(ctx: ExperimentContext) -> ExperimentReport:
-    from ..analysis.funnel import contract_funnel, funnel_by_era
-
     overall = contract_funnel(ctx.dataset)
     lines = ["Overall:"] + overall.lines()
     for era_name, era_funnel in funnel_by_era(ctx.dataset).items():
@@ -741,11 +725,6 @@ def funnel(ctx: ExperimentContext) -> ExperimentReport:
 
 
 def trust(ctx: ExperimentContext) -> ExperimentReport:
-    from ..analysis.reputation import (
-        cohort_reputation_trajectories,
-        reputation_concentration_by_month,
-    )
-
     concentration = reputation_concentration_by_month(ctx.dataset)
     cohorts = cohort_reputation_trajectories(ctx.dataset)
     lines: List[str] = []

@@ -39,7 +39,7 @@ from ..core.partitions import PartitionStore
 from ..obs.tracer import get_tracer
 from ..robust.retry import RetryPolicy, run_with_policy
 from ..runs.contract import ExperimentResult, result_from_outcome
-from .experiments import ExperimentReport
+from .artefact import ExperimentReport
 
 __all__ = ["STREAM_EXPERIMENTS", "run_stream_experiment", "run_stream_result"]
 

@@ -35,6 +35,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..report.artefact import ExperimentReport
 from ..robust.retry import RetryOutcome, RetryPolicy
 
 __all__ = [
@@ -221,7 +222,7 @@ class ExperimentResult:
         """The rendered artefact text (title, blank line, lines).
 
         Byte-identical to the historical
-        :meth:`~repro.report.experiments.ExperimentReport.text` format,
+        :meth:`~repro.report.artefact.ExperimentReport.text` format,
         so artifacts written by the run store match the files ``report
         --out`` always produced.
         """
@@ -232,10 +233,8 @@ class ExperimentResult:
         return text_sha256(self.title, self.lines)
 
     @property
-    def report(self):
-        """The legacy :class:`~repro.report.experiments.ExperimentReport` view."""
-        from ..report.experiments import ExperimentReport
-
+    def report(self) -> ExperimentReport:
+        """The legacy :class:`~repro.report.artefact.ExperimentReport` view."""
         return ExperimentReport(self.experiment_id, self.title, self.lines)
 
     def to_payload(self) -> Dict[str, Any]:

@@ -38,12 +38,25 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from .. import __version__
 from ..obs.manifest import RunManifest, write_manifest
 from ..obs.tracer import get_tracer
+from ..report.experiments import ExperimentContext, run_all_experiments
+from ..report.stream_experiments import run_stream_result
 from ..robust.parallel import forked_call
-from ..runs.contract import ExperimentResult, RunContext
+from ..runs.contract import ExperimentResult, RunContext, extract_metrics
 from ..runs.runner import detect_git_rev
-from ..runs.store import RunsError, RunStore
+from ..runs.store import RunsError, RunStore, UnknownRunError
+from ..synth.cache import (
+    cached_generate,
+    cached_partitioned_store,
+    config_fingerprint,
+)
 from ..synth.config import SimulationConfig
 from .settings import ServeSettings
+
+# The columnar engine and the partition streamer load on first use
+# (repro.synth.engine, repro.synth.cache).  Importing them with the
+# server, like everything else _compute_results reaches, leaves a forked
+# compute worker nothing to import.
+from ..synth import fastgen, streamgen  # noqa: F401
 
 __all__ = ["ServeReply", "MarketService", "response_payload"]
 
@@ -118,10 +131,6 @@ def _compute_results(spec: Mapping[str, Any]) -> List[ExperimentResult]:
     so a re-computation after an eviction of the memo/run-store tiers
     still reuses generated data.
     """
-    from ..report.stream_experiments import run_stream_result
-    from ..runs.contract import extract_metrics
-    from ..synth.cache import cached_generate, cached_partitioned_store
-
     context = RunContext.from_payload(spec["context"])
     cache_dir = spec.get("cache_dir")
     policy = context.retry_policy()
@@ -177,8 +186,6 @@ def _compute_results(spec: Mapping[str, Any]) -> List[ExperimentResult]:
             )
         ]
 
-    from ..report.experiments import ExperimentContext, run_all_experiments
-
     ctx = ExperimentContext(result, latent_k=context.latent_k)
     return run_all_experiments(
         ctx, list(context.experiments), parallel=1, policy=policy
@@ -218,8 +225,6 @@ class MarketService:
         Raises ``ValueError`` for an unbuildable config — routers map
         that to a 400.
         """
-        from ..synth.cache import config_fingerprint
-
         config = SimulationConfig(
             scale=scale, seed=seed, engine=engine, generate_posts=posts
         )
@@ -409,8 +414,6 @@ class MarketService:
         """One run in detail, or ``None`` for an unknown id."""
         if self.store is None:
             return None
-        from ..runs.store import UnknownRunError
-
         try:
             record = self.store.load(run_id)
         except UnknownRunError:

@@ -1,32 +1,12 @@
-"""Calibrated synthetic market generator (the CrimeBB substitute)."""
+"""Calibrated synthetic market generator (the CrimeBB substitute).
 
-from .config import (
-    CLASS_LABELS,
-    CLASS_NAMES,
-    CLASS_TIERS,
-    DEFAULT_CONFIG,
-    MAKE_RATES,
-    TAKE_RATES,
-    SimulationConfig,
-    interpolate_curve,
-)
-from .marketsim import (
-    MarketSimulator,
-    SimulationResult,
-    SimulationTruth,
-    generate_market,
-)
-from .engine import run_engine
-from .fastgen import FastMarketSimulator, generate_market_fast
-from .streamgen import stream_partitioned
-from .obligations import ObligationGenerator, ObligationSpec
-from .population import AliasSampler, ArrayPopulation, ClassRoster, Population
-from .calibration import CalibrationCheck, CalibrationReport, score_calibration
-from .scenarios import (
-    flat_market_scenario,
-    no_covid_scenario,
-    no_mandate_scenario,
-)
+Every name below loads its submodule on first access
+(:mod:`repro._exports`).
+"""
+
+from typing import TYPE_CHECKING
+
+from .._exports import lazy_exports
 
 __all__ = [
     "CLASS_LABELS",
@@ -58,3 +38,57 @@ __all__ = [
     "no_covid_scenario",
     "no_mandate_scenario",
 ]
+
+if TYPE_CHECKING:
+    from .config import (
+        CLASS_LABELS,
+        CLASS_NAMES,
+        CLASS_TIERS,
+        DEFAULT_CONFIG,
+        MAKE_RATES,
+        TAKE_RATES,
+        SimulationConfig,
+        interpolate_curve,
+    )
+    from .marketsim import (
+        MarketSimulator,
+        SimulationResult,
+        SimulationTruth,
+        generate_market,
+    )
+    from .engine import run_engine
+    from .fastgen import FastMarketSimulator, generate_market_fast
+    from .streamgen import stream_partitioned
+    from .obligations import ObligationGenerator, ObligationSpec
+    from .population import AliasSampler, ArrayPopulation, ClassRoster, Population
+    from .calibration import CalibrationCheck, CalibrationReport, score_calibration
+    from .scenarios import (
+        flat_market_scenario,
+        no_covid_scenario,
+        no_mandate_scenario,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(globals(), {
+        "config": (
+            "CLASS_LABELS", "CLASS_NAMES", "CLASS_TIERS", "DEFAULT_CONFIG",
+            "MAKE_RATES", "TAKE_RATES", "SimulationConfig",
+            "interpolate_curve",
+        ),
+        "marketsim": (
+            "MarketSimulator", "SimulationResult", "SimulationTruth",
+            "generate_market",
+        ),
+        "engine": ("run_engine",),
+        "fastgen": ("FastMarketSimulator", "generate_market_fast"),
+        "streamgen": ("stream_partitioned",),
+        "obligations": ("ObligationGenerator", "ObligationSpec"),
+        "population": (
+            "AliasSampler", "ArrayPopulation", "ClassRoster", "Population",
+        ),
+        "calibration": (
+            "CalibrationCheck", "CalibrationReport", "score_calibration",
+        ),
+        "scenarios": (
+            "flat_market_scenario", "no_covid_scenario", "no_mandate_scenario",
+        ),
+    })

@@ -1,7 +1,13 @@
 """Tests for the latent class / transition analysis (§5.1)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.analysis.latent import (
     FEATURE_NAMES,
@@ -124,6 +130,45 @@ class TestClassActivitySeries:
     def test_invalid_role(self, model, tiny_dataset):
         with pytest.raises(ValueError):
             class_activity_series(tiny_dataset, model, role="stolen")
+
+    @pytest.mark.parametrize("types", [
+        (ContractType.EXCHANGE, ContractType.PURCHASE, ContractType.SALE),
+        (ContractType.SALE, ContractType.EXCHANGE),
+    ])
+    def test_keys_follow_types_order(self, model, tiny_dataset, types):
+        series = class_activity_series(tiny_dataset, model, types=types)
+        assert list(series) == list(types)
+
+    def test_fig12_text_independent_of_hash_seed(self):
+        """Figure 12's sections must not follow the string hash seed.
+
+        Under hash seeds 0 and 2 a set of the three figure types iterates
+        in different orders, so each seed runs in its own interpreter.
+        """
+        code = (
+            "import hashlib\n"
+            "from repro import ExperimentContext, run_experiment\n"
+            "from repro.synth import MarketSimulator, SimulationConfig\n"
+            "result = MarketSimulator(SimulationConfig(scale=0.008, "
+            "seed=321)).run()\n"
+            "ctx = ExperimentContext(result, latent_k=4)\n"
+            "text = run_experiment('fig12', ctx).text()\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        digests = set()
+        for hash_seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True,
+                text=True, env=env, timeout=240,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestTopFlows:
