@@ -86,7 +86,7 @@ def disputed_goods(
             contract.maker_obligation, contract.taker_obligation
         )
         tally.update(categories - {UNCATEGORISED})
-    return tally.most_common()
+    return sorted(tally.items(), key=lambda item: (-item[1], item[0]))
 
 
 @dataclass

@@ -307,7 +307,8 @@ def top_flows(
                 for key, count in flows.items()
                 if key[0] == era and key[1] == ctype
             ]
-            candidates.sort(key=lambda kv: -kv[1])
+            # Ties rank by (maker, taker) class, not by contract order.
+            candidates.sort(key=lambda kv: (-kv[1], kv[0][2], kv[0][3]))
             total_of_type = type_totals.get((era, ctype), 0)
             for (era_, ctype_, maker_class, taker_class), count in candidates[:top_n]:
                 rows.append(

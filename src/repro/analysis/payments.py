@@ -147,5 +147,5 @@ def payment_evolution(
             monthly[method][month] = monthly[method].get(month, 0) + 1
             totals[method] = totals.get(method, 0) + 1
 
-    winners = sorted(totals, key=lambda m: -totals[m])[:top_n]
+    winners = sorted(totals, key=lambda m: (-totals[m], m))[:top_n]
     return {method: dict(sorted(monthly[method].items())) for method in winners}

@@ -224,7 +224,7 @@ def value_tables(
             m = maker.get(key, 0.0)
             t = taker.get(key, 0.0)
             rows.append((labels.get(key, key), m, t, m + t))
-        rows.sort(key=lambda r: -r[3])
+        rows.sort(key=lambda r: (-r[3], r[0]))
         return rows[:top_n]
 
     from ..text.payments import PAYMENT_LABELS
@@ -290,10 +290,16 @@ def value_evolution(
             by_product[name][month] = by_product[name].get(month, 0.0) + v.corrected_usd
             product_totals[name] = product_totals.get(name, 0.0) + v.corrected_usd
 
-    top_methods = sorted(method_totals, key=lambda m: -method_totals[m])[:top_n]
-    top_products = sorted(product_totals, key=lambda p: -product_totals[p])[:top_n]
+    # Rankings break ties on the label and type columns follow the enum,
+    # so the output never depends on the order contracts are stored in.
+    top_methods = sorted(method_totals, key=lambda m: (-method_totals[m], m))[:top_n]
+    top_products = sorted(product_totals, key=lambda p: (-product_totals[p], p))[:top_n]
     return {
-        "by_type": {k: dict(sorted(s.items())) for k, s in by_type.items()},
+        "by_type": {
+            ctype.name: dict(sorted(by_type[ctype.name].items()))
+            for ctype in ContractType
+            if ctype.name in by_type
+        },
         "by_method": {k: dict(sorted(by_method[k].items())) for k in top_methods},
         "by_product": {k: dict(sorted(by_product[k].items())) for k in top_products},
     }

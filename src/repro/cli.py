@@ -6,7 +6,7 @@ Usage::
     python -m repro experiment table1 --scale 0.05               # one artefact
     python -m repro experiment all --scale 0.1 --out results/    # everything
     python -m repro report --scale 0.1 --parallel 4              # cached full suite
-    python -m repro report --fast-gen --gen-workers 4 --scale 1  # columnar engine
+    python -m repro report --engine fastgen --gen-workers 4 --scale 1  # columnar
     python -m repro report --trace --scale 0.05                  # + timing tree/manifest
     python -m repro report --store partitioned --scale 1         # via cache format v3
     python -m repro stream funnel --era covid-19 --scale 1       # opens 4 months only
@@ -352,24 +352,21 @@ def _market_args(sub: argparse.ArgumentParser) -> None:
                      help="generation engine; 'auto' (default) picks the "
                           "object engine below the measured ~0.05-scale "
                           "crossover and the columnar engine above it")
-    sub.add_argument("--fast-gen", action="store_true",
-                     help="shorthand for --engine fastgen "
-                          "(repro.synth.fastgen): vectorized, cohort-"
-                          "sharded, writes straight into the column store")
     sub.add_argument("--gen-workers", type=int, default=1, metavar="N",
                      help="fork N processes for cohort-shard generation "
-                          "(--fast-gen only; the dataset is identical at "
-                          "any worker count)")
+                          "(fastgen engine only; the dataset is identical "
+                          "at any worker count)")
 
 
 def _engine_overrides(args) -> dict:
     """Config overrides implied by the generation flags."""
-    overrides = {"generate_posts": not args.no_posts}
-    if getattr(args, "fast_gen", False):
-        overrides["engine"] = "fastgen"
-    else:
-        overrides["engine"] = getattr(args, "engine", "auto")
-    return overrides
+    return {"generate_posts": not args.no_posts, "engine": args.engine}
+
+
+def _config(args) -> SimulationConfig:
+    return SimulationConfig(
+        scale=args.scale, seed=args.seed, **_engine_overrides(args)
+    )
 
 
 def _load_or_generate(args) -> SimulationResult:
@@ -395,7 +392,7 @@ def _load_or_generate(args) -> SimulationResult:
             scale=args.scale,
             seed=args.seed,
             cache_dir=args.cache_dir,
-            gen_workers=getattr(args, "gen_workers", 1),
+            gen_workers=args.gen_workers,
             **_engine_overrides(args),
         )
         print(
@@ -410,10 +407,7 @@ def _load_or_generate(args) -> SimulationResult:
 def _generate_direct(args) -> SimulationResult:
     from .synth.engine import run_engine
 
-    config = SimulationConfig(
-        scale=args.scale, seed=args.seed, **_engine_overrides(args)
-    )
-    return run_engine(config, workers=getattr(args, "gen_workers", 1))
+    return run_engine(_config(args), workers=args.gen_workers)
 
 
 def _cmd_generate(args) -> int:
@@ -454,7 +448,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .report.experiments import EXPERIMENTS, ExperimentContext
+    from .report.experiments import EXPERIMENTS
+    from .robust import RetryPolicy
+    from .runs import RunStore
+    from .runs.runner import context_for, execute_run, open_market
 
     wanted = args.ids if args.ids and "all" not in args.ids else list(EXPERIMENTS)
     unknown = [i for i in wanted if i not in EXPERIMENTS]
@@ -469,87 +466,46 @@ def _cmd_report(args) -> int:
 
         tracer = enable_tracing()
     run_started_unix = time.time()
+    context = context_for(
+        "report",
+        _config(args),
+        wanted,
+        store="resident" if args.no_cache else args.store,
+        latent_k=args.latent_k,
+        parallel=args.parallel,
+        policy=RetryPolicy(
+            max_retries=max(0, args.retries),
+            backoff_seconds=max(0.0, args.retry_backoff),
+            timeout_seconds=args.timeout,
+        ),
+    )
     started = time.time()
+    market = open_market(
+        context,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+        gen_workers=args.gen_workers,
+    )
+    result = market.result
     if args.no_cache:
-        result = _generate_direct(args)
         source = "generated (cache disabled)"
-    elif getattr(args, "store", "resident") == "partitioned":
-        from .synth.cache import (
-            cached_partitioned_store,
-            result_from_partitioned_store,
-        )
-
-        store, hit = cached_partitioned_store(
-            scale=args.scale,
-            seed=args.seed,
-            cache_dir=args.cache_dir,
-            **_engine_overrides(args),
-        )
-        result = result_from_partitioned_store(
-            store,
-            SimulationConfig(
-                scale=args.scale, seed=args.seed, **_engine_overrides(args)
-            ),
-        )
+    elif context.store == "partitioned":
         source = (
-            "partitioned store hit" if hit else "streamed to partitioned store"
+            "partitioned store hit" if market.hit
+            else "streamed to partitioned store"
         )
     else:
-        from .synth.cache import cached_generate
-
-        result, hit = cached_generate(
-            scale=args.scale,
-            seed=args.seed,
-            cache_dir=args.cache_dir,
-            gen_workers=args.gen_workers,
-            **_engine_overrides(args),
-        )
-        source = "cache hit" if hit else "generated and cached"
+        source = "cache hit" if market.hit else "generated and cached"
     print(
         f"dataset: {source} in {time.time() - started:.1f}s "
         f"(scale={args.scale}, seed={args.seed}, "
-        f"{len(result.dataset.contracts):,} contracts)",
+        f"{len(result.dataset):,} contracts)",
         file=sys.stderr,
     )
 
-    from .robust import RetryPolicy
-
-    policy = RetryPolicy(
-        max_retries=max(0, args.retries),
-        backoff_seconds=max(0.0, args.retry_backoff),
-        timeout_seconds=args.timeout,
-    )
-    ctx = ExperimentContext(result, latent_k=args.latent_k)
-
-    import platform
-
-    from .runs import RunContext, RunStore
-    from .runs.runner import detect_git_rev, execute_run
-    from .synth.cache import config_fingerprint
-
-    context = RunContext(
-        command="report",
-        config_sha256=config_fingerprint(result.config),
-        seed=args.seed,
-        scale=args.scale,
-        engine=result.config.resolved_engine,
-        store="resident" if args.no_cache else getattr(args, "store", "resident"),
-        experiments=tuple(wanted),
-        latent_k=args.latent_k,
-        package_version=__version__,
-        python_version=platform.python_version(),
-        git_rev=detect_git_rev(),
-        parallel=max(1, args.parallel),
-        max_retries=max(0, args.retries),
-        retry_backoff=max(0.0, args.retry_backoff),
-        timeout_seconds=args.timeout,
-        config={"scale": args.scale, "seed": args.seed,
-                **_engine_overrides(args)},
-    )
     runs_store = None if args.no_run_store else RunStore(args.runs_dir)
     record, runs = execute_run(
-        runs_store, context, ctx, policy=policy,
-        created_unix=run_started_unix,
+        runs_store, context, market, created_unix=run_started_unix
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -595,19 +551,19 @@ def _cmd_report(args) -> int:
 
         manifest = RunManifest(
             command="report",
-            config_sha256=config_fingerprint(result.config),
+            config_sha256=context.config_sha256,
             run_id=record.run_id if record is not None else None,
             seed=args.seed,
             scale=args.scale,
-            package_version=__version__,
-            python_version=platform.python_version(),
+            package_version=context.package_version,
+            python_version=context.python_version,
             created_unix=run_started_unix,
             params={
                 "parallel": max(1, args.parallel),
                 "latent_k": args.latent_k,
                 "posts": not args.no_posts,
                 "cache": not args.no_cache,
-                "engine": result.config.resolved_engine,
+                "engine": context.engine,
                 "gen_workers": max(1, args.gen_workers),
                 "experiments": len(runs),
             },
@@ -649,6 +605,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_stream(args) -> int:
     from .report.stream_experiments import STREAM_EXPERIMENTS
+    from .runs import RunStore
+    from .runs.runner import context_for, execute_run, open_market
 
     wanted = (
         list(STREAM_EXPERIMENTS) if "all" in args.ids else args.ids
@@ -665,57 +623,30 @@ def _cmd_stream(args) -> int:
         from .obs import enable_tracing
 
         tracer = enable_tracing()
-    from .synth.cache import cached_partitioned_store
-
     run_started_unix = time.time()
-    started = time.time()
-    store, hit = cached_partitioned_store(
-        scale=args.scale,
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        refresh=args.refresh,
-        **_engine_overrides(args),
-    )
-    print(
-        f"store: {'hit' if hit else 'built'} in {time.time() - started:.1f}s "
-        f"({len(store.months)} month partitions, scale={args.scale}, "
-        f"seed={args.seed})",
-        file=sys.stderr,
-    )
-    start, end = args.window if args.window else (None, None)
-
-    import platform
-
-    from .runs import RunContext, RunStore
-    from .runs.runner import detect_git_rev, execute_stream_run
-    from .synth.cache import config_fingerprint
-
-    config = SimulationConfig(
-        scale=args.scale, seed=args.seed, **_engine_overrides(args)
-    )
     params = {}
     if args.era:
         params["era"] = args.era
-    if start or end:
-        params["start"], params["end"] = start, end
-    context = RunContext(
-        command="stream",
-        config_sha256=config_fingerprint(config),
-        seed=args.seed,
-        scale=args.scale,
-        engine=config.resolved_engine,
+    if args.window:
+        params["start"], params["end"] = args.window
+    context = context_for(
+        "stream",
+        _config(args),
+        [f"stream-{i}" for i in wanted],
         store="partitioned",
-        experiments=tuple(f"stream-{i}" for i in wanted),
-        package_version=__version__,
-        python_version=platform.python_version(),
-        git_rev=detect_git_rev(),
         params=params,
-        config={"scale": args.scale, "seed": args.seed,
-                **_engine_overrides(args)},
+    )
+    started = time.time()
+    market = open_market(context, cache_dir=args.cache_dir, refresh=args.refresh)
+    print(
+        f"store: {'hit' if market.hit else 'built'} in "
+        f"{time.time() - started:.1f}s ({len(market.store.months)} month "
+        f"partitions, scale={args.scale}, seed={args.seed})",
+        file=sys.stderr,
     )
     runs_store = None if args.no_run_store else RunStore(args.runs_dir)
-    record, results = execute_stream_run(
-        runs_store, context, store, created_unix=run_started_unix
+    record, results = execute_run(
+        runs_store, context, market, created_unix=run_started_unix
     )
 
     if args.out:

@@ -29,18 +29,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs.tracer import get_tracer
-from .columns import datetime_from_us
+from .columns import CTYPE_ORDER, STATUS_ORDER, VISIBILITY_ORDER, datetime_from_us
 from .dataset import MarketDataset
-from .entities import (
-    Contract,
-    ContractStatus,
-    ContractType,
-    Post,
-    Rating,
-    Thread,
-    User,
-    Visibility,
-)
+from .entities import Contract, Post, Rating, Thread, User
 
 __all__ = [
     "RATING_SENTINEL",
@@ -55,10 +46,6 @@ __all__ = [
 #: ``None`` marker for the nullable int8 rating columns.  0 is a
 #: legitimate rating value, so the sentinel sits at the far end of int8.
 RATING_SENTINEL = -128
-
-_TYPE_CODES = tuple(ContractType)
-_STATUS_CODES = tuple(ContractStatus)
-_VIS_CODES = tuple(Visibility)
 
 
 def _when(us: int) -> Optional[_dt.datetime]:
@@ -87,9 +74,9 @@ def contracts_from_tables(cols: Dict[str, np.ndarray]) -> List[Contract]:
     return [
         Contract(
             contract_id=int(cols["c_id"][i]),
-            ctype=_TYPE_CODES[cols["c_type"][i]],
-            status=_STATUS_CODES[cols["c_status"][i]],
-            visibility=_VIS_CODES[cols["c_visibility"][i]],
+            ctype=CTYPE_ORDER[cols["c_type"][i]],
+            status=STATUS_ORDER[cols["c_status"][i]],
+            visibility=VISIBILITY_ORDER[cols["c_visibility"][i]],
             maker_id=int(cols["c_maker"][i]),
             taker_id=int(cols["c_taker"][i]),
             created_at=_when(int(cols["c_created_us"][i])),

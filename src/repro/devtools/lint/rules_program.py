@@ -105,12 +105,13 @@ class CacheKeyCompleteness(ProgramRule):
     config class are flagged too — they are typos the type checker may
     miss on dynamic paths.
 
-    The ``repro.runs`` orchestrators (``execute_run``,
-    ``execute_stream_run``, ``resume_run``) are entry points too: a
-    resumed run must land on the same cached dataset as the original
-    invocation, which only holds while every config field they cause to
-    be read is covered by the fingerprint that run ids and cache keys
-    are both derived from.
+    The two ``repro.runs.runner`` functions that read the config
+    (``context_for``, which records it in a run context, and
+    ``open_market``, which opens the dataset a context names) are entry
+    points too: a resumed run must land on the same cached dataset as
+    the original invocation, which only holds while every config field
+    they cause to be read is covered by the fingerprint that run ids and
+    cache keys are both derived from.
     """
 
     id = "R010"
@@ -121,9 +122,9 @@ class CacheKeyCompleteness(ProgramRule):
     _ENTRY_NAMES = {
         "run_engine", "cached_generate", "cached_partitioned_store",
         "stream_partitioned", "generate_market",
-        # repro.runs orchestration: resume re-derives the dataset from
-        # the persisted RunContext, so its config reads must be keyed.
-        "execute_run", "execute_stream_run", "resume_run",
+        # repro.runs.runner: every run (resumed ones included) derives
+        # its dataset from a RunContext, so these config reads are keyed.
+        "context_for", "open_market",
     }
 
     def _entries(self, program: Program) -> Set[str]:

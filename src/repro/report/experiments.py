@@ -587,7 +587,7 @@ def _class_series_report(ctx: ExperimentContext, role: str, figure_id: str,
     lines: List[str] = []
     for ctype, by_class in data.items():
         totals = {k: sum(v.values()) for k, v in by_class.items()}
-        top_classes = sorted(totals, key=lambda k: -totals[k])[:6]
+        top_classes = sorted(totals, key=lambda k: (-totals[k], k))[:6]
         series = {
             f"class {chr(ord('A') + k)}": {m: float(v) for m, v in by_class[k].items()}
             for k in top_classes

@@ -16,8 +16,9 @@ missing experiments re-executed.
 * :mod:`repro.runs.store` — the on-disk store: run directories,
   atomic result recording, corrupt-run quarantine, the shared manifest
   resolver used by ``trace show`` and ``runs show``;
-* :mod:`repro.runs.runner` — execute/resume orchestration over the
-  classic and streaming registries;
+* :mod:`repro.runs.runner` — the one run path: context construction,
+  the dataset source a context names, the registry each result id runs
+  in, execute and resume;
 * :mod:`repro.runs.diffs` — per-experiment metric deltas with
   tolerance;
 * :mod:`repro.runs.render` — text rendering for the CLI.
@@ -40,7 +41,15 @@ from .contract import (
 )
 from .diffs import ExperimentDiff, MetricDelta, RunDiff, diff_runs
 from .render import render_run, render_run_diff, render_runs_table
-from .runner import detect_git_rev, execute_run, execute_stream_run, resume_run
+from .runner import (
+    Market,
+    context_for,
+    detect_git_rev,
+    execute_run,
+    open_market,
+    resume_run,
+    run_results,
+)
 from .store import (
     RUN_FILE,
     CorruptRunError,
@@ -78,8 +87,11 @@ __all__ = [
     "render_runs_table",
     "render_run",
     "render_run_diff",
+    "Market",
+    "context_for",
     "detect_git_rev",
     "execute_run",
-    "execute_stream_run",
+    "open_market",
     "resume_run",
+    "run_results",
 ]

@@ -10,9 +10,10 @@ tiers, cheapest first:
 2. **store** — a completed run with the same key in the persistent
    :class:`~repro.runs.store.RunStore` (so replays survive restarts and
    are shared between server processes pointed at one runs dir);
-3. **compute** — generate through the ordinary dataset cache
-   (:mod:`repro.synth.cache`, itself keyed on the config fingerprint
-   inside the run key) and run the experiments, recording the new run.
+3. **compute** — resolve the context through the same runner as the
+   CLI (:mod:`repro.runs.runner`): open its dataset through the ordinary
+   cache (:mod:`repro.synth.cache`, itself keyed on the config
+   fingerprint inside the run key), run its ids, record the new run.
 
 Tier 3 is single-flight: concurrent requests for the same key serialize
 on a per-key lock and re-check the memo/store inside it, so two
@@ -32,31 +33,25 @@ from __future__ import annotations
 
 import platform
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .. import __version__
 from ..obs.manifest import RunManifest, write_manifest
 from ..obs.tracer import get_tracer
-from ..report.experiments import ExperimentContext, run_all_experiments
-from ..report.stream_experiments import run_stream_result
 from ..robust.parallel import forked_call
-from ..runs.contract import ExperimentResult, RunContext, extract_metrics
-from ..runs.runner import detect_git_rev
+from ..robust.retry import RetryPolicy
+from ..runs.contract import ExperimentResult, RunContext
+from ..runs.runner import context_for, open_market, run_results
 from ..runs.store import RunsError, RunStore, UnknownRunError
-from ..synth.cache import (
-    cached_generate,
-    cached_partitioned_store,
-    config_fingerprint,
-)
 from ..synth.config import SimulationConfig
 from .settings import ServeSettings
 
-# The columnar engine and the partition streamer load on first use
-# (repro.synth.engine, repro.synth.cache).  Importing them with the
-# server, like everything else _compute_results reaches, leaves a forked
-# compute worker nothing to import.
-from ..synth import fastgen, streamgen  # noqa: F401
+# The runner imports both registries, the dataset cache, the columnar
+# engine and the partition streamer on first use.  Importing them with
+# the server leaves a forked compute worker nothing to import.
+from ..report import experiments as _classic, stream_experiments as _slices  # noqa: F401
+from ..synth import cache as _cache, fastgen, streamgen  # noqa: F401
 
 __all__ = ["ServeReply", "MarketService", "response_payload"]
 
@@ -118,78 +113,19 @@ def response_payload(
     }
 
 
-def _summary_lines(summary: Mapping[str, int]) -> List[str]:
-    return [f"{key:<22s} {summary[key]:>12,}" for key in sorted(summary)]
-
-
 def _compute_results(spec: Mapping[str, Any]) -> List[ExperimentResult]:
     """Execute one serve context end to end (runs in the forked child).
 
     ``spec`` is a plain picklable dict — ``{"context": <RunContext
     payload>, "cache_dir": ...}`` — because this function crosses the
-    fork boundary.  The dataset always comes through the on-disk cache,
-    so a re-computation after an eviction of the memo/run-store tiers
-    still reuses generated data.
+    fork boundary.  The context goes through the same runner as the CLI
+    (:mod:`repro.runs.runner`), so the dataset always comes through the
+    on-disk cache and a re-computation after an eviction of the
+    memo/run-store tiers still reuses generated data.
     """
     context = RunContext.from_payload(spec["context"])
-    cache_dir = spec.get("cache_dir")
-    policy = context.retry_policy()
-    overrides = {
-        k: v
-        for k, v in dict(context.config).items()
-        if k not in ("scale", "seed")
-    }
-
-    if context.command == "serve-stream":
-        params = dict(context.params)
-        store, _hit = cached_partitioned_store(
-            scale=context.scale,
-            seed=context.seed,
-            cache_dir=cache_dir,
-            **overrides,
-        )
-        results = []
-        for result_id in context.experiments:
-            raw = (
-                result_id[len("stream-"):]
-                if result_id.startswith("stream-")
-                else result_id
-            )
-            results.append(
-                run_stream_result(
-                    raw,
-                    store,
-                    start=params.get("start"),
-                    end=params.get("end"),
-                    era=params.get("era"),
-                    policy=policy,
-                )
-            )
-        return results
-
-    result, _hit = cached_generate(
-        scale=context.scale,
-        seed=context.seed,
-        cache_dir=cache_dir,
-        **overrides,
-    )
-
-    if context.command == "serve-summary":
-        lines = _summary_lines(result.dataset.summary())
-        return [
-            ExperimentResult(
-                "summary",
-                "dataset summary",
-                lines,
-                0.0,
-                metrics=extract_metrics(lines),
-            )
-        ]
-
-    ctx = ExperimentContext(result, latent_k=context.latent_k)
-    return run_all_experiments(
-        ctx, list(context.experiments), parallel=1, policy=policy
-    )
+    market = open_market(context, cache_dir=spec.get("cache_dir"))
+    return run_results(context, market)
 
 
 class MarketService:
@@ -203,7 +139,6 @@ class MarketService:
         self._memo: Dict[str, Dict[str, Any]] = {}
         self._memo_lock = threading.Lock()
         self._inflight: Dict[str, threading.Lock] = {}
-        self._git_rev = detect_git_rev()
 
     # ------------------------------------------------------- contexts
 
@@ -225,31 +160,21 @@ class MarketService:
         Raises ``ValueError`` for an unbuildable config — routers map
         that to a 400.
         """
-        config = SimulationConfig(
-            scale=scale, seed=seed, engine=engine, generate_posts=posts
-        )
-        return RunContext(
-            command=command,
-            config_sha256=config_fingerprint(config),
-            seed=seed,
-            scale=scale,
-            engine=config.resolved_engine,
+        settings = self.settings
+        return context_for(
+            command,
+            SimulationConfig(
+                scale=scale, seed=seed, engine=engine, generate_posts=posts
+            ),
+            experiments,
             store=store_kind,
-            experiments=experiments,
             latent_k=latent_k,
-            package_version=__version__,
-            python_version=platform.python_version(),
-            git_rev=self._git_rev,
-            max_retries=max(0, self.settings.max_retries),
-            retry_backoff=max(0.0, self.settings.retry_backoff),
-            timeout_seconds=self.settings.timeout_seconds,
-            params=dict(params or {}),
-            config={
-                "scale": scale,
-                "seed": seed,
-                "engine": engine,
-                "generate_posts": posts,
-            },
+            policy=RetryPolicy(
+                max_retries=max(0, settings.max_retries),
+                backoff_seconds=max(0.0, settings.retry_backoff),
+                timeout_seconds=settings.timeout_seconds,
+            ),
+            params=params,
         )
 
     # ------------------------------------------------------ resolution

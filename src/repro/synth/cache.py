@@ -46,19 +46,14 @@ import numpy as np
 
 from ..blockchain.chain import ChainTransaction, Ledger
 from ..blockchain.rates import RateOracle
-from ..core.columns import NAT_US, datetime_from_us
-from ..core.dataset import MarketDataset
-from ..core.lazy import ColumnBackedDataset
-from ..core.entities import (
-    Contract,
-    ContractStatus,
-    ContractType,
-    Post,
-    Rating,
-    Thread,
-    User,
-    Visibility,
+from ..core.columns import (
+    CTYPE_ORDER,
+    NAT_US,
+    STATUS_ORDER,
+    VISIBILITY_ORDER,
+    datetime_from_us,
 )
+from ..core.lazy import RATING_SENTINEL, ColumnBackedDataset
 from ..obs.tracer import get_tracer
 from ..robust.atomic import publish_dir, sha256_file, staging_dir
 from ..robust.crashpoints import crash_point
@@ -89,10 +84,6 @@ __all__ = [
 #: ratings) to :data:`RATING_SENTINEL`.
 CACHE_VERSION = 2
 
-#: ``None`` marker for the int8 rating columns.  0 is a legitimate
-#: rating value, so the sentinel sits at the far end of the int8 range.
-RATING_SENTINEL = -128
-
 
 class CorruptEntryError(Exception):
     """A cache entry exists but cannot be trusted (torn/corrupt/stale-
@@ -101,11 +92,6 @@ class CorruptEntryError(Exception):
 
 class _StaleEntry(Exception):
     """Entry belongs to another CACHE_VERSION or config; plain miss."""
-
-_EPOCH = _dt.datetime(1970, 1, 1)
-_TYPE_CODES = tuple(ContractType)
-_STATUS_CODES = tuple(ContractStatus)
-_VIS_CODES = tuple(Visibility)
 
 
 def default_cache_dir() -> str:
@@ -132,8 +118,12 @@ def config_fingerprint(config: SimulationConfig) -> str:
     Structural means every field of :class:`SimulationConfig` except
     the explicit :data:`NON_STRUCTURAL_FIELDS` exclusions (currently
     none), so *any* config override produces a distinct cache entry.
+    The engine enters as :attr:`~SimulationConfig.resolved_engine`: an
+    ``auto`` spelling and the engine it resolves to generate the same
+    market, so they share one entry.
     """
     fields = asdict(config)
+    fields["engine"] = config.resolved_engine
     for name in NON_STRUCTURAL_FIELDS:
         fields.pop(name, None)
     payload = json.dumps(fields, sort_keys=True, default=str)
@@ -157,15 +147,6 @@ def _us(when: Optional[_dt.datetime]) -> int:
     if when is None:
         return int(NAT_US)
     return int(np.datetime64(when, "us").astype(np.int64))
-
-
-def _when(us: int) -> Optional[_dt.datetime]:
-    return datetime_from_us(us)
-
-
-def _rating(raw: int) -> Optional[int]:
-    # 0 is a legitimate rating; only the sentinel means "no rating".
-    return None if raw == RATING_SENTINEL else raw
 
 
 def _str_column(values) -> np.ndarray:
@@ -198,12 +179,12 @@ def _columns_of(result: SimulationResult) -> Dict[str, np.ndarray]:
         "user_first_post_us": np.asarray([_us(u.first_post_at) for u in users], np.int64),
         "user_class": _str_column(u.latent_class for u in users),
         "c_id": _int_column(c.contract_id for c in contracts),
-        "c_type": np.asarray([_TYPE_CODES.index(c.ctype) for c in contracts], np.int8),
+        "c_type": np.asarray([CTYPE_ORDER.index(c.ctype) for c in contracts], np.int8),
         "c_status": np.asarray(
-            [_STATUS_CODES.index(c.status) for c in contracts], np.int8
+            [STATUS_ORDER.index(c.status) for c in contracts], np.int8
         ),
         "c_visibility": np.asarray(
-            [_VIS_CODES.index(c.visibility) for c in contracts], np.int8
+            [VISIBILITY_ORDER.index(c.visibility) for c in contracts], np.int8
         ),
         "c_maker": _int_column(c.maker_id for c in contracts),
         "c_taker": _int_column(c.taker_id for c in contracts),
@@ -266,7 +247,6 @@ def save_result(result: SimulationResult, cache_dir: Optional[str] = None) -> st
     # A failure below leaves only the staged tmp-<pid> directory behind
     # (exactly what a dead process would leave); readers never look at
     # it and the next save from this pid replaces it.
-    dataset = result.dataset
     data_path = os.path.join(stage, "data.npz")
     np.savez_compressed(data_path, **_columns_of(result))
     crash_point("cache.save.mid_write")
@@ -277,11 +257,7 @@ def save_result(result: SimulationResult, cache_dir: Optional[str] = None) -> st
         "fingerprint": config_fingerprint(result.config),
         "checksums": {"data.npz": sha256_file(data_path)},
         "counts": {
-            "users": len(dataset.users),
-            "contracts": len(dataset.contracts),
-            "threads": len(dataset.threads),
-            "posts": len(dataset.posts),
-            "ratings": len(dataset.ratings),
+            **result.dataset._entity_counts(),
             "transactions": len(result.ledger),
         },
     }
@@ -300,103 +276,34 @@ def _ledger_from_columns(cols: Dict[str, np.ndarray]) -> Ledger:
             ChainTransaction(
                 txhash=str(cols["x_txhash"][i]),
                 address=str(cols["x_address"][i]),
-                timestamp=_when(int(cols["x_timestamp_us"][i])),
+                timestamp=datetime_from_us(int(cols["x_timestamp_us"][i])),
                 btc_amount=float(cols["x_btc"][i]),
             )
         )
     return ledger
 
 
-def _load_columns(entry: str, config: SimulationConfig) -> SimulationResult:
-    with np.load(os.path.join(entry, "data.npz")) as data:
-        cols = {key: data[key] for key in data.files}
+def _result_from_tables(
+    cols: Dict[str, np.ndarray], config: SimulationConfig
+) -> SimulationResult:
+    """A lazy :class:`SimulationResult` over cache-schema tables.
 
-    if config.resolved_engine == "fastgen":
-        # Columnar engine: hand the arrays straight back as a lazy view —
-        # no object materialization on load.  The table dict mirrors what
-        # :func:`repro.synth.fastgen._merge_shards` produced (x_* ledger
-        # columns included), so a load→save round-trip is key-identical.
-        return SimulationResult(
-            dataset=ColumnBackedDataset(cols),
-            ledger=_ledger_from_columns(cols),
-            rates=RateOracle(),
-            truth=SimulationTruth(),
-            config=config,
-        )
-
-    users = [
-        User(
-            user_id=int(cols["user_id"][i]),
-            joined_forum_at=_when(int(cols["user_joined_us"][i])),
-            first_post_at=_when(int(cols["user_first_post_us"][i])),
-            latent_class=str(cols["user_class"][i]) or None,
-        )
-        for i in range(len(cols["user_id"]))
-    ]
-    contracts = [
-        Contract(
-            contract_id=int(cols["c_id"][i]),
-            ctype=_TYPE_CODES[cols["c_type"][i]],
-            status=_STATUS_CODES[cols["c_status"][i]],
-            visibility=_VIS_CODES[cols["c_visibility"][i]],
-            maker_id=int(cols["c_maker"][i]),
-            taker_id=int(cols["c_taker"][i]),
-            created_at=_when(int(cols["c_created_us"][i])),
-            completed_at=_when(int(cols["c_completed_us"][i])),
-            maker_obligation=str(cols["c_maker_obligation"][i]),
-            taker_obligation=str(cols["c_taker_obligation"][i]),
-            terms=str(cols["c_terms"][i]),
-            maker_rating=_rating(int(cols["c_maker_rating"][i])),
-            taker_rating=_rating(int(cols["c_taker_rating"][i])),
-            thread_id=(
-                int(cols["c_thread"][i]) if cols["c_thread"][i] >= 0 else None
-            ),
-            btc_address=str(cols["c_btc_address"][i]) or None,
-            btc_txhash=str(cols["c_btc_txhash"][i]) or None,
-        )
-        for i in range(len(cols["c_id"]))
-    ]
-    threads = [
-        Thread(
-            thread_id=int(cols["t_id"][i]),
-            author_id=int(cols["t_author"][i]),
-            created_at=_when(int(cols["t_created_us"][i])),
-            title=str(cols["t_title"][i]),
-            is_marketplace=bool(cols["t_marketplace"][i]),
-        )
-        for i in range(len(cols["t_id"]))
-    ]
-    posts = [
-        Post(
-            post_id=int(cols["p_id"][i]),
-            thread_id=int(cols["p_thread"][i]),
-            author_id=int(cols["p_author"][i]),
-            created_at=_when(int(cols["p_created_us"][i])),
-            is_marketplace=bool(cols["p_marketplace"][i]),
-        )
-        for i in range(len(cols["p_id"]))
-    ]
-    ratings = [
-        Rating(
-            contract_id=int(cols["r_contract"][i]),
-            rater_id=int(cols["r_rater"][i]),
-            ratee_id=int(cols["r_ratee"][i]),
-            score=int(cols["r_score"][i]),
-            created_at=_when(int(cols["r_created_us"][i])),
-        )
-        for i in range(len(cols["r_contract"]))
-    ]
-    ledger = _ledger_from_columns(cols)
-    dataset = MarketDataset(
-        users=users, contracts=contracts, threads=threads, posts=posts, ratings=ratings
-    )
+    Whichever engine generated them, the tables come back as a
+    :class:`ColumnBackedDataset`: analyses read the arrays, and entity
+    objects are built only for callers that iterate them.
+    """
     return SimulationResult(
-        dataset=dataset,
-        ledger=ledger,
+        dataset=ColumnBackedDataset(cols),
+        ledger=_ledger_from_columns(cols),
         rates=RateOracle(),
         truth=SimulationTruth(),
         config=config,
     )
+
+
+def _load_columns(entry: str, config: SimulationConfig) -> SimulationResult:
+    with np.load(os.path.join(entry, "data.npz")) as data:
+        return _result_from_tables({key: data[key] for key in data.files}, config)
 
 
 def _load_entry(entry: str, config: SimulationConfig) -> SimulationResult:
@@ -408,7 +315,7 @@ def _load_entry(entry: str, config: SimulationConfig) -> SimulationResult:
     to a healthy entry: missing files, unreadable or partial
     ``meta.json``, a checksum mismatch, or any decode failure from the
     archive itself — including ``zipfile.BadZipFile``/``EOFError`` from
-    truncation and ``IndexError`` from out-of-range enum codes.
+    truncation.
     """
     meta_path = os.path.join(entry, "meta.json")
     data_path = os.path.join(entry, "data.npz")
@@ -436,7 +343,7 @@ def _load_entry(entry: str, config: SimulationConfig) -> SimulationResult:
         )
     try:
         return _load_columns(entry, config)
-    except (OSError, KeyError, ValueError, IndexError, EOFError,
+    except (OSError, KeyError, ValueError, EOFError,
             zipfile.BadZipFile) as exc:
         raise CorruptEntryError(f"undecodable entry: {exc!r}") from exc
 
@@ -542,14 +449,8 @@ def result_from_partitioned_store(store, config: SimulationConfig) -> Simulation
     :class:`ColumnBackedDataset` and rebuilds the ledger from the global
     ``x_*`` columns.  Streaming kernels should fold the store instead.
     """
-    cols = store.tables()
-    return SimulationResult(
-        dataset=ColumnBackedDataset(cols),
-        ledger=_ledger_from_columns(cols),
-        rates=RateOracle(),
-        truth=SimulationTruth(),
-        config=config,
-    )
+    return _result_from_tables(store.tables(), config)
+
 
 def partitioned_cache_path(
     config: SimulationConfig, cache_dir: Optional[str] = None

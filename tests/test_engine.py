@@ -1,5 +1,6 @@
 """Engine dispatch: the ``"auto"`` default, the measured scale
-crossover, and run_engine's single point of resolution."""
+crossover, run_engine's single point of resolution, and one cache
+fingerprint per resolved engine whatever its spelling."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.obs import disable_tracing, enable_tracing
 from repro.synth import SimulationConfig
+from repro.synth.cache import cached_partitioned_store, config_fingerprint
 from repro.synth.config import ENGINE_AUTO_CROSSOVER
 from repro.synth.engine import run_engine
 
@@ -63,3 +65,27 @@ class TestDispatch:
         counters = tracer.snapshot()["counters"]
         assert counters.get("gen.engine.fastgen") == 1
         assert result.dataset.tables is not None
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("scale, engine", [(1.0, "fastgen"), (0.02, "object")])
+    def test_auto_shares_its_resolved_engines_fingerprint(self, scale, engine):
+        auto = config_fingerprint(SimulationConfig(scale=scale))
+        spelled = config_fingerprint(SimulationConfig(scale=scale, engine=engine))
+        assert auto == spelled
+        for other in ("object", "fastgen"):
+            if other != engine:
+                assert auto != config_fingerprint(
+                    SimulationConfig(scale=scale, engine=other)
+                )
+
+    @pytest.mark.parametrize("scale, engine", [(0.05, "fastgen"), (0.004, "object")])
+    def test_store_built_under_one_spelling_hits_under_the_other(
+        self, scale, engine, tmp_path
+    ):
+        market = dict(scale=scale, seed=9, cache_dir=str(tmp_path),
+                      generate_posts=False)
+        _, hit = cached_partitioned_store(engine=engine, **market)
+        assert not hit
+        _, hit = cached_partitioned_store(engine="auto", **market)
+        assert hit

@@ -113,10 +113,10 @@ class TestCacheKeyCompleteness:
         )
 
     def test_runs_orchestrators_are_entry_points(self):
-        # execute_run / execute_stream_run / resume_run taint config
-        # reads exactly like the generation entry points: a resumed run
-        # must key the same cache entry as its original invocation.
-        for name in ("execute_run", "execute_stream_run", "resume_run"):
+        # The runner's context_for / open_market taint config reads
+        # exactly like the generation entry points: a resumed run must
+        # key the same cache entry as its original invocation.
+        for name in ("context_for", "open_market"):
             tree = self._tree()
             tree["src/repro/eng.py"] = tree["src/repro/eng.py"].replace(
                 "run_engine", name

@@ -1,7 +1,8 @@
 """Run-contract and run-store end-to-end: deterministic run identity,
 atomic persistence, corrupt-index quarantine, resume after a mid-sweep
-kill (via the ``runs.record`` crash point), and the diff exactness
-property — two runs of the same (seed, config) diff to zero."""
+kill (via the ``runs.record`` crash point) for every recorded command,
+and the diff exactness property — two runs of the same (seed, config)
+diff to zero."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.tracer import NullTracer, Tracer, set_tracer
-from repro.report.experiments import ExperimentContext, ExperimentReport
+from repro.report.experiments import ExperimentReport
 from repro.robust.crashpoints import (
     InjectedCrash,
     arm_crash_point,
@@ -21,13 +22,16 @@ from repro.robust.crashpoints import (
 from repro.runs import (
     CorruptRunError,
     ExperimentResult,
+    Market,
     RunContext,
     RunRecord,
     RunStore,
     UnknownRunError,
+    context_for,
     diff_runs,
     execute_run,
     extract_metrics,
+    open_market,
     resume_run,
 )
 from repro.synth import MarketSimulator, SimulationConfig
@@ -43,8 +47,8 @@ def tiny_result():
 
 
 @pytest.fixture
-def ctx(tiny_result):
-    return ExperimentContext(tiny_result)
+def market(tiny_result):
+    return Market(tiny_result.config, False, result=tiny_result)
 
 
 @pytest.fixture
@@ -184,10 +188,10 @@ class TestExperimentResult:
 
 
 class TestRunStore:
-    def test_begin_record_finish_round_trip(self, tiny_result, ctx, tmp_path):
+    def test_begin_record_finish_round_trip(self, tiny_result, market, tmp_path):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1", "fig01"])
-        record, results = execute_run(store, context, ctx)
+        record, results = execute_run(store, context, market)
         assert record.status == "complete"
         assert [r.experiment_id for r in results] == ["table1", "fig01"]
 
@@ -201,18 +205,18 @@ class TestRunStore:
         with open(artifact, "r", encoding="utf-8") as handle:
             assert handle.read().rstrip("\n") == results[0].text()
 
-    def test_rerun_gets_ordinal_suffix(self, tiny_result, ctx, tmp_path):
+    def test_rerun_gets_ordinal_suffix(self, tiny_result, market, tmp_path):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1"])
-        first, _ = execute_run(store, context, ctx)
-        second, _ = execute_run(store, context, ctx)
+        first, _ = execute_run(store, context, market)
+        second, _ = execute_run(store, context, market)
         assert second.run_id == f"{first.run_id}-2"
         assert store.run_ids() == sorted([first.run_id, second.run_id])
 
-    def test_verify_catches_tampered_artifact(self, tiny_result, ctx, tmp_path):
+    def test_verify_catches_tampered_artifact(self, tiny_result, market, tmp_path):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1"])
-        record, _ = execute_run(store, context, ctx)
+        record, _ = execute_run(store, context, market)
         with open(os.path.join(record.path, "artifacts", "table1.txt"),
                   "a", encoding="utf-8") as handle:
             handle.write("tampered\n")
@@ -221,11 +225,11 @@ class TestRunStore:
             store.load(record.run_id, verify=True)
 
     def test_corrupt_run_json_is_quarantined_not_fatal(
-        self, tiny_result, ctx, tmp_path, tracer
+        self, tiny_result, market, tmp_path, tracer
     ):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1"])
-        record, _ = execute_run(store, context, ctx)
+        record, _ = execute_run(store, context, market)
         with open(os.path.join(record.path, "run.json"), "w",
                   encoding="utf-8") as handle:
             handle.write("{truncated")
@@ -238,11 +242,11 @@ class TestRunStore:
             store.load(record.run_id)
 
     def test_torn_result_file_is_quarantined_and_pending(
-        self, tiny_result, ctx, tmp_path, tracer
+        self, tiny_result, market, tmp_path, tracer
     ):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1", "fig01"])
-        record, _ = execute_run(store, context, ctx)
+        record, _ = execute_run(store, context, market)
         torn = os.path.join(record.path, "results", "fig01.json")
         with open(torn, "w", encoding="utf-8") as handle:
             handle.write('{"schema": 1, "experiment_id": "fig0')
@@ -257,10 +261,10 @@ class TestRunStore:
         with pytest.raises(UnknownRunError, match="runs list"):
             RunStore(str(tmp_path)).load("no-such-run")
 
-    def test_filters(self, tiny_result, ctx, tmp_path):
+    def test_filters(self, tiny_result, market, tmp_path):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1"])
-        record, _ = execute_run(store, context, ctx)
+        record, _ = execute_run(store, context, market)
         assert [r.run_id for r in store.list_runs(seed=SEED)] == [record.run_id]
         assert store.list_runs(seed=SEED + 1) == []
         assert store.list_runs(command="stream") == []
@@ -276,38 +280,68 @@ class TestRunStore:
 # --------------------------------------------------------------------- #
 
 
+#: case -> (command, store kind, result ids, params): one per recorded
+#: command, with the window and era selections serve and stream record.
+RESUME_CASES = {
+    "report": ("report", "resident", ("table1", "table2", "fig01"), {}),
+    "stream-era": (
+        "stream", "partitioned", ("stream-growth", "stream-funnel"),
+        {"era": "covid-19"},
+    ),
+    "serve-report": ("serve-report", "resident", ("table1", "fig01"), {}),
+    "serve-stream-era": (
+        "serve-stream", "partitioned", ("stream-typemix",),
+        {"era": "covid-19"},
+    ),
+    "serve-stream-window": (
+        "serve-stream", "partitioned", ("stream-funnel",),
+        {"start": "2019-03", "end": "2020-02"},
+    ),
+    "serve-summary": ("serve-summary", "resident", ("summary",), {}),
+}
+
+
 class TestResume:
-    def test_resume_after_mid_sweep_kill(
-        self, tiny_result, ctx, tmp_path
-    ):
-        cache_dir = tmp_path / "cache"
-        save_result(tiny_result, str(cache_dir))  # warm cache for resume
-        store = RunStore(str(tmp_path / "runs"))
-        context = make_context(
-            tiny_result.config, ["table1", "table2", "fig01"]
+    @pytest.mark.parametrize("case", list(RESUME_CASES))
+    def test_resume_after_mid_sweep_kill(self, tiny_result, tmp_path, case):
+        command, store_kind, ids, params = RESUME_CASES[case]
+        cache_dir = str(tmp_path / "cache")
+        save_result(tiny_result, cache_dir)  # warm cache for resume
+        context = context_for(
+            command, tiny_result.config, ids, store=store_kind, params=params
         )
-        arm_crash_point("runs.record", at_call=2)
+        market = open_market(context, cache_dir=cache_dir)
+        _, uninterrupted = execute_run(None, context, market)
+
+        store = RunStore(str(tmp_path / "runs"))
+        crash_at = min(2, len(ids))
+        arm_crash_point("runs.record", at_call=crash_at)
         with pytest.raises(InjectedCrash):
-            execute_run(store, context, ctx)
+            execute_run(store, context, market)
         disarm_all_crash_points()
 
         (run_id,) = store.run_ids()
         interrupted = store.load(run_id)
         assert interrupted.status == "running"
-        assert interrupted.completed == ["table1"]
-        assert interrupted.pending == ["table2", "fig01"]
+        assert interrupted.completed == list(ids[:crash_at - 1])
+        assert interrupted.pending == list(ids[crash_at - 1:])
 
-        record, rerun = resume_run(store, run_id, cache_dir=str(cache_dir))
-        assert rerun == ["table2", "fig01"]  # only the missing ones
+        record, rerun = resume_run(store, run_id, cache_dir=cache_dir)
+        assert rerun == list(ids[crash_at - 1:])  # only the missing ones
         assert record.status == "complete"
-        assert store.load(run_id, verify=True).pending == []
+        resumed = store.load(run_id, verify=True)
+        assert resumed.pending == []
+        assert [resumed.results[i].text() for i in ids] == [
+            result.text() for result in uninterrupted
+        ]
+        assert all(result.ok for result in uninterrupted)
 
     def test_resume_of_complete_run_reruns_nothing(
-        self, tiny_result, ctx, tmp_path
+        self, tiny_result, market, tmp_path
     ):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1"])
-        record, _ = execute_run(store, context, ctx)
+        record, _ = execute_run(store, context, market)
         resealed, rerun = resume_run(store, record.run_id)
         assert rerun == []
         assert resealed.status == "complete"
@@ -327,11 +361,11 @@ def _record_of(run_id, context, results):
 
 
 class TestDiff:
-    def test_identical_reruns_diff_to_zero(self, tiny_result, ctx, tmp_path):
+    def test_identical_reruns_diff_to_zero(self, tiny_result, market, tmp_path):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1", "fig01"])
-        a, _ = execute_run(store, context, ctx)
-        b, _ = execute_run(store, context, ctx)
+        a, _ = execute_run(store, context, market)
+        b, _ = execute_run(store, context, market)
         diff = diff_runs(store.load(a.run_id), store.load(b.run_id))
         assert diff.identical
         assert diff.n_deltas == 0

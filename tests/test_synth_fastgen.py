@@ -19,11 +19,15 @@ Four contracts are under test:
   one member per class roster alive, a finite-size floor that inflates
   posting slightly at tiny scales (documented in docs/architecture.md).
 * **Integration** — ``cached_generate`` round-trips fastgen results
-  through the npz cache as lazy column-backed datasets, and the lazy
-  truth/object views materialize on demand.
+  through the npz cache as lazy column-backed datasets, saving one counts
+  its entities without building objects, and the lazy truth/object views
+  materialize on demand.
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -31,8 +35,10 @@ import pytest
 from repro.core.columns import CTYPE_ORDER, NAT_US, STATUS_ORDER
 from repro.core.entities import ContractStatus, Visibility
 from repro.core.lazy import RATING_SENTINEL, ColumnBackedDataset
+from repro.obs import disable_tracing, enable_tracing
 from repro.synth import SimulationConfig
-from repro.synth.cache import cached_generate, config_fingerprint
+from repro.synth.cache import cached_generate, config_fingerprint, save_result
+from repro.synth.engine import run_engine
 from repro.synth.fastgen import FastMarketSimulator, generate_market_fast
 from repro.synth.marketsim import MarketSimulator
 
@@ -362,6 +368,26 @@ class TestCacheIntegration:
             gen_workers=4,
         )
         assert hit
+
+    def test_save_counts_without_materializing(self, tmp_path):
+        result = run_engine(SimulationConfig(scale=0.02, seed=5, engine="fastgen"))
+        tracer = enable_tracing()
+        try:
+            entry = save_result(result, str(tmp_path))
+        finally:
+            disable_tracing()
+        assert tracer.counters.get("lazy.materializations", 0) == 0
+        with open(os.path.join(entry, "meta.json"), encoding="utf-8") as handle:
+            counts = json.load(handle)["counts"]
+        tables = result.dataset.tables
+        assert counts == {
+            "users": len(tables["user_id"]),
+            "contracts": len(tables["c_id"]),
+            "threads": len(tables["t_id"]),
+            "posts": len(tables["p_id"]),
+            "ratings": len(tables["r_contract"]),
+            "transactions": len(result.ledger),
+        }
 
     def test_engines_use_distinct_entries(self, tmp_path):
         _, hit = cached_generate(
