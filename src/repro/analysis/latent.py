@@ -21,6 +21,7 @@ from ..core.dataset import MarketDataset
 from ..core.entities import ContractType
 from ..core.eras import ERAS, Era
 from ..core.timeutils import Month, month_of
+from ..obs.tracer import get_tracer
 from ..stats.ltm import LatentTransitionResult, fit_latent_transitions
 from ..stats.mixture import PoissonMixtureResult, select_poisson_mixture
 
@@ -28,6 +29,7 @@ __all__ = [
     "FEATURE_NAMES",
     "LatentClassModel",
     "FlowRow",
+    "class_id",
     "user_month_profiles",
     "fit_latent_classes",
     "class_activity_series",
@@ -79,6 +81,11 @@ def user_month_profiles(
     return [panel_map[m] for m in months], months
 
 
+def class_id(index: int) -> str:
+    """The printed id of latent class ``index``: A to Z, then C26, C27, ..."""
+    return chr(ord("A") + index) if index < 26 else f"C{index}"
+
+
 def _behaviour_label(rates: np.ndarray) -> str:
     """Auto-label a class from its rate vector (Table 6's last column)."""
     total = float(rates.sum())
@@ -121,7 +128,7 @@ class LatentClassModel:
         for index in range(self.k):
             rows.append(
                 (
-                    chr(ord("A") + index) if index < 26 else f"C{index}",
+                    class_id(index),
                     [float(r) for r in self.mixture.rates[index]],
                     self.class_labels[index],
                 )
@@ -151,22 +158,27 @@ def fit_latent_classes(
     ``k_range`` (the paper found 12 "most accurate and parsimonious per
     AIC and BIC"); otherwise ``k`` is used directly.
     """
-    panel, months = user_month_profiles(dataset)
-    if not panel:
-        raise ValueError("dataset has no contracts")
-    bic_by_k: Dict[int, float] = {}
-    mixture: Optional[PoissonMixtureResult] = None
-    if select:
-        pooled = np.vstack([np.vstack(list(p.values())) for p in panel if p])
-        mixture, bic_by_k = select_poisson_mixture(
-            pooled, k_range=k_range, seed=seed, n_init=n_init,
-            feature_names=list(FEATURE_NAMES),
+    tracer = get_tracer()
+    with tracer.span("latent.fit"):
+        panel, months = user_month_profiles(dataset)
+        if not panel:
+            raise ValueError("dataset has no contracts")
+        bic_by_k: Dict[int, float] = {}
+        mixture: Optional[PoissonMixtureResult] = None
+        if select:
+            pooled = np.vstack([np.vstack(list(p.values())) for p in panel if p])
+            mixture, bic_by_k = select_poisson_mixture(
+                pooled, k_range=k_range, seed=seed, n_init=n_init,
+                feature_names=list(FEATURE_NAMES),
+            )
+            k = mixture.k
+        ltm = fit_latent_transitions(
+            panel, k=k, seed=seed, n_init=n_init,
+            feature_names=list(FEATURE_NAMES), mixture=mixture,
         )
-        k = mixture.k
-    ltm = fit_latent_transitions(
-        panel, k=k, seed=seed, n_init=n_init,
-        feature_names=list(FEATURE_NAMES), mixture=mixture,
-    )
+    # EM's cost per iteration follows the distinct profiles, not the rows.
+    tracer.gauge("latent.rows", ltm.mixture.n_obs)
+    tracer.gauge("latent.profiles", ltm.mixture.n_profiles)
     labels = [_behaviour_label(ltm.mixture.rates[i]) for i in range(ltm.k)]
     return LatentClassModel(ltm=ltm, months=months, class_labels=labels, bic_by_k=bic_by_k)
 

@@ -47,6 +47,7 @@ from ..analysis import (
     zip_subsamples,
 )
 from ..analysis.coldstart import CLUSTER_VARIABLES
+from ..analysis.latent import class_id
 from ..analysis.taxonomy import STATUS_ORDER, TYPE_ORDER
 from ..analysis.values import estimate_dataset_values
 from ..blockchain.verify import verify_high_value_contracts
@@ -318,13 +319,11 @@ def table8(ctx: ExperimentContext) -> ExperimentReport:
     headers = ["Era", "Type", "Flow", "Total", "Avg/month", "% of type"]
     rows: List[List[object]] = []
     for flow in flows:
-        maker_label = chr(ord("A") + flow.maker_class)
-        taker_label = chr(ord("A") + flow.taker_class)
         rows.append(
             [
                 flow.era,
                 flow.ctype.name,
-                f"{maker_label} -> {taker_label}",
+                f"{class_id(flow.maker_class)} -> {class_id(flow.taker_class)}",
                 f"{flow.total:,}",
                 f"{flow.avg_per_month:.1f}",
                 format_pct(flow.share_of_type, 0),
@@ -589,7 +588,7 @@ def _class_series_report(ctx: ExperimentContext, role: str, figure_id: str,
         totals = {k: sum(v.values()) for k, v in by_class.items()}
         top_classes = sorted(totals, key=lambda k: (-totals[k], k))[:6]
         series = {
-            f"class {chr(ord('A') + k)}": {m: float(v) for m, v in by_class[k].items()}
+            f"class {class_id(k)}": {m: float(v) for m, v in by_class[k].items()}
             for k in top_classes
         }
         lines.extend(render_series(series, title=f"{ctype.name} ({role}):"))

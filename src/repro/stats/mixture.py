@@ -8,6 +8,18 @@ data"), selecting 12 classes by AIC and BIC.
 This module implements the estimator from scratch: EM with log-space
 responsibilities, multiple restarts, rate floors against degenerate
 classes, and model selection across a class-count range.
+
+EM runs over the *distinct* rows of the count matrix (its profiles),
+each weighted by the number of rows that share it.  Equal rows have
+equal posteriors, so the E-step scores each profile once, the M-step
+uses count-weighted responsibilities and the log-likelihood is the
+count-weighted sum over profiles: the same estimator as EM over every
+row, at a cost per iteration that grows with the profiles rather than
+the rows (user-month panels repeat heavily: 8,403 rows hold 699
+profiles at scale 0.05, 158,445 hold 5,424 at scale 1.0).  Initial
+seeds are still drawn from the row index, so a ``seed`` starts from the
+rows it always did, and ``n_obs`` and the information criteria count
+rows.
 """
 
 from __future__ import annotations
@@ -23,6 +35,8 @@ from .information import aic, bic
 __all__ = ["PoissonMixtureResult", "fit_poisson_mixture", "select_poisson_mixture"]
 
 _RATE_FLOOR = 1e-4
+_MAX_ITER = 300
+_TOL = 1e-7
 
 
 @dataclass
@@ -31,13 +45,16 @@ class PoissonMixtureResult:
 
     ``rates[k, j]`` is class k's mean count for feature j — directly
     comparable to the paper's Table 6 (average monthly transactions per
-    class).  Classes are sorted by descending mixing weight.
+    class).  Classes are sorted by descending mixing weight.  ``n_obs``
+    counts the rows fitted and ``n_profiles`` the distinct rows among
+    them, which set the cost of each EM iteration.
     """
 
     rates: np.ndarray       # (K, d)
     weights: np.ndarray     # (K,)
     log_likelihood: float
     n_obs: int
+    n_profiles: int
     feature_names: List[str]
     converged: bool
     n_iter: int
@@ -62,7 +79,10 @@ class PoissonMixtureResult:
     def log_responsibilities(self, Y: np.ndarray) -> np.ndarray:
         """Log posterior class probabilities for each row of ``Y``."""
         Y = np.asarray(Y, dtype=float)
-        log_joint = _log_emission(Y, self.rates) + np.log(self.weights)[None, :]
+        log_joint = (
+            _log_emission(Y, self.rates, _log_factorial(Y))
+            + np.log(self.weights)[None, :]
+        )
         return log_joint - logsumexp(log_joint, axis=1, keepdims=True)
 
     def responsibilities(self, Y: np.ndarray) -> np.ndarray:
@@ -73,25 +93,68 @@ class PoissonMixtureResult:
         return self.log_responsibilities(Y).argmax(axis=1)
 
 
-def _log_emission(Y: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _log_factorial(Y: np.ndarray) -> np.ndarray:
+    """(n, 1) sum_j lgamma(y_ij + 1), the rate-free part of each row's term."""
+    return gammaln(Y + 1.0).sum(axis=1, keepdims=True)
+
+
+def _log_emission(
+    Y: np.ndarray, rates: np.ndarray, log_factorial: np.ndarray
+) -> np.ndarray:
     """(n, K) log P(y_i | class k) under independent Poissons."""
     log_rates = np.log(rates)  # rates are floored, so this is finite
     # sum_j [ y_ij log λ_kj - λ_kj - lgamma(y_ij + 1) ]
     term = Y @ log_rates.T - rates.sum(axis=1)[None, :]
-    return term - gammaln(Y + 1.0).sum(axis=1, keepdims=True)
+    return term - log_factorial
+
+
+@dataclass(frozen=True)
+class _Profiles:
+    """A count matrix as its distinct rows and how often each occurs."""
+
+    rows: np.ndarray           # (m, d) distinct count vectors
+    row_profile: np.ndarray    # (n,) index into ``rows`` of each input row
+    counts: np.ndarray         # (m,) input rows per profile, as floats
+    log_factorial: np.ndarray  # (m, 1)
+
+    @property
+    def n_obs(self) -> int:
+        return len(self.row_profile)
+
+
+def _profiles(Y: np.ndarray) -> _Profiles:
+    """The profiles of ``Y``, rejecting what is not a table of counts."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError("expected a 2-D count matrix")
+    # Before np.unique, which would merge NaN rows into one profile.
+    if not np.isfinite(Y).all():
+        raise ValueError("counts must be finite")
+    if np.any(Y < 0):
+        raise ValueError("counts must be non-negative")
+    rows, row_profile, counts = np.unique(
+        Y, axis=0, return_inverse=True, return_counts=True
+    )
+    return _Profiles(
+        rows=rows,
+        row_profile=row_profile.reshape(-1),
+        counts=counts.astype(float),
+        log_factorial=_log_factorial(rows),
+    )
 
 
 def _em_once(
-    Y: np.ndarray,
+    profiles: _Profiles,
     k: int,
     rng: np.random.Generator,
     max_iter: int,
     tol: float,
 ) -> Tuple[np.ndarray, np.ndarray, float, bool, int]:
-    n, d = Y.shape
-    # Seed rates from k random observations (jittered, floored).
-    seeds = rng.choice(n, size=k, replace=n < k)
-    rates = Y[seeds] + rng.uniform(0.05, 0.5, size=(k, d))
+    Y, counts = profiles.rows, profiles.counts
+    # Seed rates from k random rows (jittered, floored).  Drawing from the
+    # row index, not the profiles, keeps each seed's random stream.
+    seeds = profiles.row_profile[rng.choice(profiles.n_obs, size=k, replace=False)]
+    rates = Y[seeds] + rng.uniform(0.05, 0.5, size=(k, Y.shape[1]))
     rates = np.maximum(rates, _RATE_FLOOR)
     weights = np.full(k, 1.0 / k)
 
@@ -99,23 +162,20 @@ def _em_once(
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        log_joint = _log_emission(Y, rates) + np.log(weights)[None, :]
+        log_joint = (
+            _log_emission(Y, rates, profiles.log_factorial)
+            + np.log(weights)[None, :]
+        )
         log_norm = logsumexp(log_joint, axis=1, keepdims=True)
-        new_loglik = float(log_norm.sum())
-        resp = np.exp(log_joint - log_norm)  # (n, K)
+        new_loglik = float(counts @ log_norm[:, 0])
+        resp = np.exp(log_joint - log_norm) * counts[:, None]  # (m, K)
 
         mass = resp.sum(axis=0)  # (K,)
-        empty = mass < 1e-8
-        if np.any(empty):
-            # Re-seed dead classes at the worst-explained points.
-            worst = np.argsort(log_norm.ravel())[: int(empty.sum())]
-            for class_index, point in zip(np.where(empty)[0], worst):
-                rates[class_index] = np.maximum(Y[point] + 0.1, _RATE_FLOOR)
-                mass[class_index] = 1.0
-        weights = np.maximum(mass, 1e-8)
-        weights = weights / weights.sum()
-        rates = (resp.T @ Y) / np.maximum(mass[:, None], 1e-8)
-        rates = np.maximum(rates, _RATE_FLOOR)
+        # A class that explains no row keeps a unit pseudo-mass, so its
+        # weight stays positive; its rates fall to the floor.
+        mass[mass < 1e-8] = 1.0
+        weights = mass / mass.sum()
+        rates = np.maximum((resp.T @ Y) / mass[:, None], _RATE_FLOOR)
 
         if np.isfinite(loglik) and abs(new_loglik - loglik) <= tol * (1.0 + abs(loglik)):
             loglik = new_loglik
@@ -125,28 +185,22 @@ def _em_once(
     return rates, weights, loglik, converged, iteration
 
 
-def fit_poisson_mixture(
-    Y: np.ndarray,
+def _fit(
+    profiles: _Profiles,
     k: int,
-    n_init: int = 5,
-    max_iter: int = 300,
-    tol: float = 1e-7,
-    seed: int = 0,
-    feature_names: Optional[Sequence[str]] = None,
+    n_init: int,
+    max_iter: int,
+    tol: float,
+    seed: int,
+    feature_names: Optional[Sequence[str]],
 ) -> PoissonMixtureResult:
-    """Fit a K-class Poisson mixture by EM (best of ``n_init`` restarts)."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("expected a 2-D count matrix")
-    if np.any(Y < 0):
-        raise ValueError("counts must be non-negative")
-    if not 1 <= k <= len(Y):
-        raise ValueError(f"k must be in 1..{len(Y)}, got {k}")
+    if not 1 <= k <= profiles.n_obs:
+        raise ValueError(f"k must be in 1..{profiles.n_obs}, got {k}")
     rng = np.random.default_rng(seed)
 
     best: Optional[Tuple[np.ndarray, np.ndarray, float, bool, int]] = None
     for _ in range(max(1, n_init)):
-        candidate = _em_once(Y, k, rng, max_iter, tol)
+        candidate = _em_once(profiles, k, rng, max_iter, tol)
         if best is None or candidate[2] > best[2]:
             best = candidate
     assert best is not None
@@ -156,17 +210,31 @@ def fit_poisson_mixture(
     names = list(
         feature_names
         if feature_names is not None
-        else [f"f{j}" for j in range(Y.shape[1])]
+        else [f"f{j}" for j in range(profiles.rows.shape[1])]
     )
     return PoissonMixtureResult(
         rates=rates[order],
         weights=weights[order],
         log_likelihood=loglik,
-        n_obs=len(Y),
+        n_obs=profiles.n_obs,
+        n_profiles=len(profiles.rows),
         feature_names=names,
         converged=converged,
         n_iter=n_iter,
     )
+
+
+def fit_poisson_mixture(
+    Y: np.ndarray,
+    k: int,
+    n_init: int = 5,
+    max_iter: int = _MAX_ITER,
+    tol: float = _TOL,
+    seed: int = 0,
+    feature_names: Optional[Sequence[str]] = None,
+) -> PoissonMixtureResult:
+    """Fit a K-class Poisson mixture by EM (best of ``n_init`` restarts)."""
+    return _fit(_profiles(Y), k, n_init, max_iter, tol, seed, feature_names)
 
 
 def select_poisson_mixture(
@@ -184,14 +252,15 @@ def select_poisson_mixture(
     """
     if criterion not in ("aic", "bic"):
         raise ValueError("criterion must be 'aic' or 'bic'")
+    profiles = _profiles(Y)
     scores: Dict[int, float] = {}
     best_model: Optional[PoissonMixtureResult] = None
     lo, hi = k_range
     for k in range(lo, hi + 1):
-        if k > len(Y):
+        if k > profiles.n_obs:
             break
-        model = fit_poisson_mixture(
-            Y, k, n_init=n_init, seed=seed + k, feature_names=feature_names
+        model = _fit(
+            profiles, k, n_init, _MAX_ITER, _TOL, seed + k, feature_names
         )
         scores[k] = model.bic if criterion == "bic" else model.aic
         if best_model is None or scores[k] < scores[best_model.k]:

@@ -1,6 +1,8 @@
 """Tests for the latent class / transition analysis (§5.1)."""
 
 import os
+import re
+import string
 import subprocess
 import sys
 
@@ -9,9 +11,11 @@ import pytest
 
 import repro
 
+from repro import ExperimentContext, run_experiment
 from repro.analysis.latent import (
     FEATURE_NAMES,
     class_activity_series,
+    class_id,
     fit_latent_classes,
     top_flows,
     user_month_profiles,
@@ -98,6 +102,24 @@ class TestFitLatentClasses:
         )
         assert 2 <= selected.k <= 4
         assert selected.bic_by_k
+
+
+class TestClassIds:
+    def test_letters_then_numbers(self):
+        assert [class_id(i) for i in (0, 25, 26, 63)] == ["A", "Z", "C26", "C63"]
+
+    def test_artefacts_share_table6_ids_past_z(self, sim_tiny):
+        """table8 and fig12/fig13 name classes 26+ as table6 does."""
+        ctx = ExperimentContext(sim_tiny, latent_k=30)
+        ids = {row[0] for row in ctx.latent_model().table6()}
+        shown = set()
+        for flow in re.findall(r"(\S+) -> (\S+)", run_experiment("table8", ctx).text()):
+            shown.update(flow)
+        for figure in ("fig12", "fig13"):
+            text = run_experiment(figure, ctx).text()
+            shown.update(re.findall(r"^  class (\S+) ", text, re.MULTILINE))
+        assert shown - set(string.ascii_uppercase), "no class past Z is shown"
+        assert shown <= ids
 
 
 class TestClassActivitySeries:

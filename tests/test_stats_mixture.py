@@ -1,8 +1,12 @@
 """Tests for the Poisson mixture (LCA) and latent transition model."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
+from repro.analysis.latent import user_month_profiles
 from repro.stats.ltm import fit_latent_transitions
 from repro.stats.mixture import fit_poisson_mixture, select_poisson_mixture
 
@@ -64,6 +68,13 @@ class TestPoissonMixture:
             fit_poisson_mixture(-np.ones((5, 2)), 2)  # negative
         with pytest.raises(ValueError):
             fit_poisson_mixture(np.ones((5, 2)), 0)
+        for bad in (np.nan, np.inf):
+            Y = np.random.default_rng(0).poisson(2.0, size=(50, 3)).astype(float)
+            Y[7, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fit_poisson_mixture(Y, 2)
+            with pytest.raises(ValueError, match="finite"):
+                select_poisson_mixture(Y, (1, 2))
 
     def test_feature_names(self):
         Y = two_class_counts(n1=30, n2=30)
@@ -87,6 +98,123 @@ class TestSelection:
     def test_invalid_criterion(self):
         with pytest.raises(ValueError):
             select_poisson_mixture(np.ones((10, 2)), (1, 2), criterion="dic")
+
+
+# --------------------------------------------------------------------- #
+# Row-level reference: EM over every row, as the estimator was first
+# written.  The profile-weighted fit must reproduce it.
+# --------------------------------------------------------------------- #
+
+_RATE_FLOOR = 1e-4
+
+
+@dataclass
+class ReferenceFit:
+    rates: np.ndarray
+    weights: np.ndarray
+    log_likelihood: float
+    converged: bool
+    n_iter: int
+    reseeds: int  # iterations, over all restarts, that re-seeded a dead class
+
+    def assign(self, Y):
+        log_joint = _reference_log_emission(Y, self.rates) + np.log(self.weights)
+        return log_joint.argmax(axis=1)
+
+
+def _reference_log_emission(Y, rates):
+    log_rates = np.log(rates)
+    term = Y @ log_rates.T - rates.sum(axis=1)[None, :]
+    return term - gammaln(Y + 1.0).sum(axis=1, keepdims=True)
+
+
+def _reference_em_once(Y, k, rng, max_iter, tol):
+    n, d = Y.shape
+    seeds = rng.choice(n, size=k, replace=n < k)
+    rates = Y[seeds] + rng.uniform(0.05, 0.5, size=(k, d))
+    rates = np.maximum(rates, _RATE_FLOOR)
+    weights = np.full(k, 1.0 / k)
+
+    loglik = -np.inf
+    converged = False
+    iteration = 0
+    reseeds = 0
+    for iteration in range(1, max_iter + 1):
+        log_joint = _reference_log_emission(Y, rates) + np.log(weights)[None, :]
+        log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+        new_loglik = float(log_norm.sum())
+        resp = np.exp(log_joint - log_norm)
+
+        mass = resp.sum(axis=0)
+        empty = mass < 1e-8
+        if np.any(empty):
+            reseeds += 1
+            worst = np.argsort(log_norm.ravel())[: int(empty.sum())]
+            for class_index, point in zip(np.where(empty)[0], worst):
+                rates[class_index] = np.maximum(Y[point] + 0.1, _RATE_FLOOR)
+                mass[class_index] = 1.0
+        weights = np.maximum(mass, 1e-8)
+        weights = weights / weights.sum()
+        rates = (resp.T @ Y) / np.maximum(mass[:, None], 1e-8)
+        rates = np.maximum(rates, _RATE_FLOOR)
+
+        if np.isfinite(loglik) and abs(new_loglik - loglik) <= tol * (1.0 + abs(loglik)):
+            loglik = new_loglik
+            converged = True
+            break
+        loglik = new_loglik
+    return rates, weights, loglik, converged, iteration, reseeds
+
+
+def reference_fit(Y, k, n_init, seed, max_iter=300, tol=1e-7):
+    rng = np.random.default_rng(seed)
+    best = None
+    reseeds = 0
+    for _ in range(max(1, n_init)):
+        candidate = _reference_em_once(Y, k, rng, max_iter, tol)
+        reseeds += candidate[5]
+        if best is None or candidate[2] > best[2]:
+            best = candidate
+    rates, weights, loglik, converged, n_iter, _ = best
+    order = np.argsort(-weights)
+    return ReferenceFit(rates[order], weights[order], loglik, converged, n_iter, reseeds)
+
+
+class TestMatchesRowLevelReference:
+    def assert_matches(self, Y, k, n_init, seed):
+        ref = reference_fit(Y, k, n_init=n_init, seed=seed)
+        fit = fit_poisson_mixture(Y, k, n_init=n_init, seed=seed)
+        assert (fit.n_iter, fit.converged) == (ref.n_iter, ref.converged)
+        np.testing.assert_array_equal(fit.assign(Y), ref.assign(Y))
+        np.testing.assert_allclose(fit.rates, ref.rates, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fit.weights, ref.weights, rtol=0, atol=1e-9)
+        assert fit.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-9)
+        assert fit.n_obs == len(Y)
+        assert fit.n_profiles == len(np.unique(Y, axis=0))
+        return ref
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_heavy_matrix_with_dead_classes(self, seed):
+        """Sixteen classes over three profiles, some of them dying.
+
+        60 rows hold three profiles over 4,000 mostly-zero columns.
+        Classes seeded on the all-zero profile differ only in their
+        jitter, summed over those columns, so the worst of them explains
+        no row and takes the dead-class branch.  One restart per fit:
+        with more classes than profiles, restarts can reach the same
+        likelihood, and then rounding alone picks the winner.
+        """
+        Y = np.zeros((60, 4000))
+        Y[40:50, :3] = (2, 1, 4)
+        Y[50:, 5:8] = (1, 3, 1)
+        ref = self.assert_matches(Y, k=16, n_init=1, seed=seed)
+        assert ref.reseeds > 0
+
+    def test_user_month_panel(self, tiny_dataset):
+        """The report's fit (12 classes, two restarts) on real user-months."""
+        panel, _ = user_month_profiles(tiny_dataset)
+        Y = np.vstack([vector for period in panel for vector in period.values()])
+        self.assert_matches(Y, k=12, n_init=2, seed=0)
 
 
 class TestLatentTransitions:
