@@ -57,10 +57,10 @@ typecheck:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Quick perf gate: generation throughput + columnar-kernel speedups,
-# with GC disabled and a machine-readable report for regression diffs.
+# Quick perf gate: generation throughput, with GC disabled and a
+# machine-readable report for regression diffs.
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_generation.py benchmarks/bench_columnstore.py \
+	$(PYTHON) -m pytest benchmarks/bench_generation.py \
 		--benchmark-only --benchmark-disable-gc \
 		--benchmark-json=BENCH_smoke.json
 

@@ -11,14 +11,12 @@ counts the contract once, so the total is smaller than makers + takers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.dataset import MarketDataset
-from ..core.kernels import count_dispatch
-from ..core.entities import Contract
-from ..core.timeutils import Month, month_of
+from ..core.timeutils import Month
 from ..text.taxonomy import (
     CATEGORIES,
     CATEGORY_LABELS,
@@ -91,14 +89,6 @@ class ActivityTable:
         return row.both_contracts / self.all_row.both_contracts
 
 
-def _contracts_for_analysis(
-    dataset: MarketDataset, contracts: Optional[Sequence[Contract]]
-) -> List[Contract]:
-    if contracts is not None:
-        return list(contracts)
-    return dataset.completed_public()
-
-
 #: Bit index reserved for the uncategorised marker in activity bitmasks.
 _UNCAT_BIT = len(CATEGORIES)
 #: Mask selecting only the concrete (non-uncategorised) category bits.
@@ -153,151 +143,81 @@ def _id_set(ids: np.ndarray) -> Set[int]:
     return set(ids.tolist())
 
 
-def top_trading_activities(
-    dataset: MarketDataset,
-    categorizer: Optional[ActivityCategorizer] = None,
-    contracts: Optional[Sequence[Contract]] = None,
-    fast: bool = True,
-) -> ActivityTable:
+def top_trading_activities(dataset: MarketDataset) -> ActivityTable:
     """Categorise completed public contracts into activity buckets.
 
-    ``contracts`` overrides the default completed-public subset (useful
-    for per-era tables).  ``fast`` applies to whole-dataset calls with the
-    default categoriser: the per-text regex pass is memoized on the
-    columnar store and all counting happens on bitmask arrays.
+    The per-text regex pass is memoized on the columnar store and all
+    counting happens on bitmask arrays.  Restrict the contracts analysed
+    (for per-era tables) with ``dataset.subset(contracts)``.
     """
-    count_dispatch(fast and categorizer is None and contracts is None)
-    if fast and categorizer is None and contracts is None:
-        store = dataset.columns()
-        rows, maker_m, taker_m, _ = _activity_masks(dataset)
-        maker_ids = store.maker_id[rows]
-        taker_ids = store.taker_id[rows]
-        both_m = maker_m | taker_m
-        table_rows: Dict[str, ActivityRow] = {}
-        for key in tuple(CATEGORIES) + (UNCATEGORISED,):
-            bit = np.uint32(1 << _BIT_OF[key])
-            m_sel = (maker_m & bit) != 0
-            t_sel = (taker_m & bit) != 0
-            b_sel = (both_m & bit) != 0
-            table_rows[key] = ActivityRow(
-                key,
-                CATEGORY_LABELS.get(key, key),
-                maker_contracts=int(m_sel.sum()),
-                maker_users=_id_set(np.unique(maker_ids[m_sel])),
-                taker_contracts=int(t_sel.sum()),
-                taker_users=_id_set(np.unique(taker_ids[t_sel])),
-                both_contracts=int(b_sel.sum()),
-                both_users=_id_set(
-                    np.unique(np.concatenate([maker_ids[b_sel], taker_ids[b_sel]]))
-                ),
-            )
-        m_any = (maker_m & _CAT_BITS) != 0
-        t_any = (taker_m & _CAT_BITS) != 0
-        b_any = (both_m & _CAT_BITS) != 0
-        all_row = ActivityRow(
-            "all",
-            "All Trading Activities",
-            maker_contracts=int(m_any.sum()),
-            maker_users=_id_set(np.unique(maker_ids[m_any])),
-            taker_contracts=int(t_any.sum()),
-            taker_users=_id_set(np.unique(taker_ids[t_any])),
-            both_contracts=int(b_any.sum()),
+    store = dataset.columns()
+    rows, maker_m, taker_m, _ = _activity_masks(dataset)
+    maker_ids = store.maker_id[rows]
+    taker_ids = store.taker_id[rows]
+    both_m = maker_m | taker_m
+    table_rows: Dict[str, ActivityRow] = {}
+    for key in tuple(CATEGORIES) + (UNCATEGORISED,):
+        bit = np.uint32(1 << _BIT_OF[key])
+        m_sel = (maker_m & bit) != 0
+        t_sel = (taker_m & bit) != 0
+        b_sel = (both_m & bit) != 0
+        table_rows[key] = ActivityRow(
+            key,
+            CATEGORY_LABELS.get(key, key),
+            maker_contracts=int(m_sel.sum()),
+            maker_users=_id_set(np.unique(maker_ids[m_sel])),
+            taker_contracts=int(t_sel.sum()),
+            taker_users=_id_set(np.unique(taker_ids[t_sel])),
+            both_contracts=int(b_sel.sum()),
             both_users=_id_set(
-                np.unique(np.concatenate([maker_ids[b_any], taker_ids[b_any]]))
+                np.unique(np.concatenate([maker_ids[b_sel], taker_ids[b_sel]]))
             ),
         )
-        return ActivityTable(rows=table_rows, all_row=all_row, n_contracts=len(rows))
-
-    categorizer = categorizer or ActivityCategorizer()
-    subset = _contracts_for_analysis(dataset, contracts)
-
-    rows: Dict[str, ActivityRow] = {
-        key: ActivityRow(key, CATEGORY_LABELS.get(key, key))
-        for key in tuple(CATEGORIES) + (UNCATEGORISED,)
-    }
-    all_row = ActivityRow("all", "All Trading Activities")
-
-    for contract in subset:
-        maker_cats = categorizer.categorize(contract.maker_obligation)
-        taker_cats = categorizer.categorize(contract.taker_obligation)
-        both_cats = maker_cats | taker_cats
-        for category in maker_cats:
-            row = rows[category]
-            row.maker_contracts += 1
-            row.maker_users.add(contract.maker_id)
-        for category in taker_cats:
-            row = rows[category]
-            row.taker_contracts += 1
-            row.taker_users.add(contract.taker_id)
-        for category in both_cats:
-            row = rows[category]
-            row.both_contracts += 1
-            row.both_users.add(contract.maker_id)
-            row.both_users.add(contract.taker_id)
-        if both_cats - {UNCATEGORISED}:
-            all_row.both_contracts += 1
-            all_row.both_users.add(contract.maker_id)
-            all_row.both_users.add(contract.taker_id)
-        if maker_cats - {UNCATEGORISED}:
-            all_row.maker_contracts += 1
-            all_row.maker_users.add(contract.maker_id)
-        if taker_cats - {UNCATEGORISED}:
-            all_row.taker_contracts += 1
-            all_row.taker_users.add(contract.taker_id)
-
-    return ActivityTable(rows=rows, all_row=all_row, n_contracts=len(subset))
+    m_any = (maker_m & _CAT_BITS) != 0
+    t_any = (taker_m & _CAT_BITS) != 0
+    b_any = (both_m & _CAT_BITS) != 0
+    all_row = ActivityRow(
+        "all",
+        "All Trading Activities",
+        maker_contracts=int(m_any.sum()),
+        maker_users=_id_set(np.unique(maker_ids[m_any])),
+        taker_contracts=int(t_any.sum()),
+        taker_users=_id_set(np.unique(taker_ids[t_any])),
+        both_contracts=int(b_any.sum()),
+        both_users=_id_set(
+            np.unique(np.concatenate([maker_ids[b_any], taker_ids[b_any]]))
+        ),
+    )
+    return ActivityTable(rows=table_rows, all_row=all_row, n_contracts=len(rows))
 
 
 def product_evolution(
     dataset: MarketDataset,
-    categorizer: Optional[ActivityCategorizer] = None,
     top_n: int = 5,
     exclude: Sequence[str] = EVOLUTION_EXCLUDED,
-    fast: bool = True,
 ) -> Dict[str, Dict[Month, int]]:
     """Figure 9: monthly completed-public contracts for the top products.
 
     Currency exchange and payments are excluded (per the paper); the top
-    ``top_n`` remaining categories by total volume are tracked.  ``fast``
-    (default-categoriser calls) reuses the memoized both-sides bitmasks
-    and bincounts the per-category monthly series.
+    ``top_n`` remaining categories by total volume are tracked.  The
+    memoized both-sides bitmasks are bincounted into per-category
+    monthly series.
     """
-    count_dispatch(fast and categorizer is None)
-    if fast and categorizer is None:
-        store = dataset.columns()
-        rows, _, _, sides_m = _activity_masks(dataset)
-        months = store.month_idx[rows]
-        excluded = set(exclude) | {UNCATEGORISED}
-        monthly: Dict[str, Dict[Month, int]] = {}
-        totals: Dict[str, int] = {}
-        for key in CATEGORIES:
-            if key in excluded:
-                continue
-            sel = (sides_m & np.uint32(1 << _BIT_OF[key])) != 0
-            total = int(sel.sum())
-            if not total:
-                continue
-            totals[key] = total
-            monthly[key] = _month_counts(months[sel])
-        winners = sorted(totals, key=lambda c: (-totals[c], c))[:top_n]
-        return {category: monthly[category] for category in winners}
-
-    categorizer = categorizer or ActivityCategorizer()
-    subset = dataset.completed_public()
-
-    monthly = {}
-    totals = {}
+    store = dataset.columns()
+    rows, _, _, sides_m = _activity_masks(dataset)
+    months = store.month_idx[rows]
     excluded = set(exclude) | {UNCATEGORISED}
-    for contract in subset:
-        categories = categorizer.categorize_sides(
-            contract.maker_obligation, contract.taker_obligation
-        )
-        month = month_of(contract.created_at)
-        for category in categories - excluded:
-            monthly.setdefault(category, {})
-            monthly[category][month] = monthly[category].get(month, 0) + 1
-            totals[category] = totals.get(category, 0) + 1
-
+    monthly: Dict[str, Dict[Month, int]] = {}
+    totals: Dict[str, int] = {}
+    for key in CATEGORIES:
+        if key in excluded:
+            continue
+        sel = (sides_m & np.uint32(1 << _BIT_OF[key])) != 0
+        total = int(sel.sum())
+        if not total:
+            continue
+        totals[key] = total
+        monthly[key] = _month_counts(months[sel])
     # Ties broken by category key so the pick is hash-seed independent.
     winners = sorted(totals, key=lambda c: (-totals[c], c))[:top_n]
-    return {category: dict(sorted(monthly[category].items())) for category in winners}
+    return {category: monthly[category] for category in winners}

@@ -10,17 +10,14 @@ recomputed each month.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..core.columns import month_from_index
 from ..core.dataset import MarketDataset
-from ..core.kernels import count_dispatch
-from ..core.entities import Contract
-from ..core.timeutils import Month, month_of
-from ..stats.descriptive import concentration_curve, gini
-from .monthly import completion_month
+from ..core.timeutils import Month
+from ..stats.descriptive import gini
 
 __all__ = [
     "ConcentrationCurves",
@@ -32,22 +29,6 @@ __all__ = [
 
 #: The paper's definition of 'key': top 5% each month.
 KEY_PERCENT = 5.0
-
-
-def _user_involvement(contracts: Sequence[Contract]) -> Dict[int, int]:
-    counts: Dict[int, int] = {}
-    for contract in contracts:
-        for user in contract.parties():
-            counts[user] = counts.get(user, 0) + 1
-    return counts
-
-
-def _thread_involvement(contracts: Sequence[Contract]) -> Dict[int, int]:
-    counts: Dict[int, int] = {}
-    for contract in contracts:
-        if contract.thread_id is not None:
-            counts[contract.thread_id] = counts.get(contract.thread_id, 0) + 1
-    return counts
 
 
 @dataclass
@@ -93,63 +74,36 @@ def _curve_from_values(
 def concentration_curves(
     dataset: MarketDataset,
     percents: Sequence[float] = tuple(range(1, 101)),
-    fast: bool = True,
 ) -> ConcentrationCurves:
     """Compute Figure 5's four concentration curves (plus Ginis).
 
-    ``fast`` derives all involvement counts from the columnar store and
-    evaluates each curve with one sort + cumsum instead of a per-percent
-    ``top_share`` pass.
+    All involvement counts come from the columnar store, and each curve
+    is one sort + cumsum.
     """
-    count_dispatch(fast)
-    if fast:
-        store = dataset.columns()
-        completed = store.is_complete
-        threaded = store.thread_id >= 0
-        parties = np.concatenate([store.maker_code, store.taker_code])
-        parties_completed = np.concatenate(
-            [store.maker_code[completed], store.taker_code[completed]]
-        )
-        users_created_v = _involvement_values(parties)
-        threads_created_v = _involvement_values(store.thread_id[threaded])
-        return ConcentrationCurves(
-            users_created=_curve_from_values(users_created_v, percents),
-            users_completed=_curve_from_values(
-                _involvement_values(parties_completed), percents
-            ),
-            threads_created=_curve_from_values(threads_created_v, percents),
-            threads_completed=_curve_from_values(
-                _involvement_values(store.thread_id[threaded & completed]), percents
-            ),
-            user_gini_created=(
-                gini(users_created_v.tolist()) if len(users_created_v) else 0.0
-            ),
-            thread_gini_created=(
-                gini(threads_created_v.tolist()) if len(threads_created_v) else 0.0
-            ),
-        )
-
-    created = dataset.contracts
-    completed = dataset.completed()
-
-    users_created = _user_involvement(created)
-    users_completed = _user_involvement(completed)
-    threads_created = _thread_involvement(created)
-    threads_completed = _thread_involvement(completed)
-
-    def curve(counts: Dict[int, int]) -> Dict[float, float]:
-        values = list(counts.values())
-        if not values:
-            return {float(p): 0.0 for p in percents}
-        return {float(p): s for p, s in concentration_curve(values, percents).items()}
-
+    store = dataset.columns()
+    completed = store.is_complete
+    threaded = store.thread_id >= 0
+    parties = np.concatenate([store.maker_code, store.taker_code])
+    parties_completed = np.concatenate(
+        [store.maker_code[completed], store.taker_code[completed]]
+    )
+    users_created_v = _involvement_values(parties)
+    threads_created_v = _involvement_values(store.thread_id[threaded])
     return ConcentrationCurves(
-        users_created=curve(users_created),
-        users_completed=curve(users_completed),
-        threads_created=curve(threads_created),
-        threads_completed=curve(threads_completed),
-        user_gini_created=gini(list(users_created.values())) if users_created else 0.0,
-        thread_gini_created=gini(list(threads_created.values())) if threads_created else 0.0,
+        users_created=_curve_from_values(users_created_v, percents),
+        users_completed=_curve_from_values(
+            _involvement_values(parties_completed), percents
+        ),
+        threads_created=_curve_from_values(threads_created_v, percents),
+        threads_completed=_curve_from_values(
+            _involvement_values(store.thread_id[threaded & completed]), percents
+        ),
+        user_gini_created=(
+            gini(users_created_v.tolist()) if len(users_created_v) else 0.0
+        ),
+        thread_gini_created=(
+            gini(threads_created_v.tolist()) if len(threads_created_v) else 0.0
+        ),
     )
 
 
@@ -164,18 +118,8 @@ class KeySharePoint:
     key_threads_completed: float
 
 
-def _key_share(counts: Dict[int, int], percent: float) -> float:
-    """Share of involvement covered by the top ``percent`` % of actors."""
-    if not counts:
-        return 0.0
-    values = sorted(counts.values(), reverse=True)
-    k = max(1, int(round(len(values) * percent / 100.0)))
-    total = sum(values)
-    return sum(values[:k]) / total if total else 0.0
-
-
 def _key_share_values(values: np.ndarray, percent: float) -> float:
-    """Vectorized :func:`_key_share` over an involvement-count array."""
+    """Share of involvement covered by the top ``percent`` % of actors."""
     if not len(values):
         return 0.0
     ordered = np.sort(values)[::-1]
@@ -185,72 +129,46 @@ def _key_share_values(values: np.ndarray, percent: float) -> float:
 
 
 def key_share_by_month(
-    dataset: MarketDataset, percent: float = KEY_PERCENT, fast: bool = True
+    dataset: MarketDataset, percent: float = KEY_PERCENT
 ) -> List[KeySharePoint]:
     """Figure 6: per-month share of contracts made by key members/threads.
 
     Key members and key threads are recomputed for every month (both as
     maker and taker, per the paper).
     """
-    count_dispatch(fast)
-    if fast:
-        store = dataset.columns()
-        present = np.unique(
-            np.concatenate(
-                [
-                    store.month_idx[store.month_idx >= 0],
-                    store.settled_month_idx[store.settled_month_idx >= 0],
-                ]
-            )
+    store = dataset.columns()
+    present = np.unique(
+        np.concatenate(
+            [
+                store.month_idx[store.month_idx >= 0],
+                store.settled_month_idx[store.settled_month_idx >= 0],
+            ]
         )
-        series: List[KeySharePoint] = []
-        threaded = store.thread_id >= 0
-        for idx in present.tolist():
-            created = store.month_idx == idx
-            settled = store.settled_month_idx == idx
-            members_created = _involvement_values(
-                np.concatenate([store.maker_code[created], store.taker_code[created]])
-            )
-            members_completed = _involvement_values(
-                np.concatenate([store.maker_code[settled], store.taker_code[settled]])
-            )
-            series.append(
-                KeySharePoint(
-                    month=month_from_index(idx),
-                    key_members_created=_key_share_values(members_created, percent),
-                    key_members_completed=_key_share_values(members_completed, percent),
-                    key_threads_created=_key_share_values(
-                        _involvement_values(store.thread_id[created & threaded]),
-                        percent,
-                    ),
-                    key_threads_completed=_key_share_values(
-                        _involvement_values(store.thread_id[settled & threaded]),
-                        percent,
-                    ),
-                )
-            )
-        return series
-
-    created_by_month: Dict[Month, List[Contract]] = {}
-    completed_by_month: Dict[Month, List[Contract]] = {}
-    for contract in dataset.contracts:
-        created_by_month.setdefault(month_of(contract.created_at), []).append(contract)
-        settled = completion_month(contract)
-        if settled is not None:
-            completed_by_month.setdefault(settled, []).append(contract)
-
-    months = sorted(set(created_by_month) | set(completed_by_month))
-    series = []
-    for month in months:
-        created = created_by_month.get(month, [])
-        completed = completed_by_month.get(month, [])
+    )
+    series: List[KeySharePoint] = []
+    threaded = store.thread_id >= 0
+    for idx in present.tolist():
+        created = store.month_idx == idx
+        settled = store.settled_month_idx == idx
+        members_created = _involvement_values(
+            np.concatenate([store.maker_code[created], store.taker_code[created]])
+        )
+        members_completed = _involvement_values(
+            np.concatenate([store.maker_code[settled], store.taker_code[settled]])
+        )
         series.append(
             KeySharePoint(
-                month=month,
-                key_members_created=_key_share(_user_involvement(created), percent),
-                key_members_completed=_key_share(_user_involvement(completed), percent),
-                key_threads_created=_key_share(_thread_involvement(created), percent),
-                key_threads_completed=_key_share(_thread_involvement(completed), percent),
+                month=month_from_index(idx),
+                key_members_created=_key_share_values(members_created, percent),
+                key_members_completed=_key_share_values(members_completed, percent),
+                key_threads_created=_key_share_values(
+                    _involvement_values(store.thread_id[created & threaded]),
+                    percent,
+                ),
+                key_threads_completed=_key_share_values(
+                    _involvement_values(store.thread_id[settled & threaded]),
+                    percent,
+                ),
             )
         )
     return series

@@ -11,12 +11,11 @@ and per era — quantifying the process diagram the appendix only draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..core.dataset import MarketDataset
-from ..core.kernels import count_dispatch
-from ..core.entities import Contract, ContractStatus
-from ..core.eras import ERAS, Era
+from ..core.entities import ContractStatus
+from ..core.eras import ERAS
 
 __all__ = ["FunnelStage", "ContractFunnel", "contract_funnel", "funnel_by_era"]
 
@@ -95,60 +94,42 @@ def _funnel_from_status_counts(by_status: Dict[ContractStatus, int]) -> Contract
     return ContractFunnel(total_proposed=total, stages=stages)
 
 
-def contract_funnel(
-    dataset: MarketDataset,
-    contracts: Optional[Sequence[Contract]] = None,
-    fast: bool = True,
-) -> ContractFunnel:
-    """Build the funnel over all contracts (or a subset).
+def contract_funnel(dataset: MarketDataset) -> ContractFunnel:
+    """Build the funnel over all of ``dataset``'s contracts.
 
     ACTIVE_DEAL contracts count as accepted with no terminal outcome yet;
     their stage-2 shares use accepted-and-terminal as the denominator.
-    ``fast`` (whole-dataset calls only) tallies statuses with a single
-    ``np.bincount`` over the columnar store.
+    Statuses are tallied with a single ``np.bincount`` over the columnar
+    store; pass ``dataset.subset(contracts)`` to funnel a subset.
     """
-    count_dispatch(fast and contracts is None)
-    if fast and contracts is None:
-        import numpy as np
+    import numpy as np
 
-        from ..core.columns import STATUS_ORDER
+    from ..core.columns import STATUS_ORDER
 
-        store = dataset.columns()
-        counts = np.bincount(store.status, minlength=len(STATUS_ORDER))
-        return _funnel_from_status_counts(
-            {status: int(counts[i]) for i, status in enumerate(STATUS_ORDER)}
-        )
-
-    subset = list(contracts) if contracts is not None else dataset.contracts
-    by_status: Dict[ContractStatus, int] = {}
-    for contract in subset:
-        by_status[contract.status] = by_status.get(contract.status, 0) + 1
-    return _funnel_from_status_counts(by_status)
+    store = dataset.columns()
+    counts = np.bincount(store.status, minlength=len(STATUS_ORDER))
+    return _funnel_from_status_counts(
+        {status: int(counts[i]) for i, status in enumerate(STATUS_ORDER)}
+    )
 
 
-def funnel_by_era(dataset: MarketDataset, fast: bool = True) -> Dict[str, ContractFunnel]:
+def funnel_by_era(dataset: MarketDataset) -> Dict[str, ContractFunnel]:
     """The funnel per era (by creation date)."""
-    count_dispatch(fast)
-    if fast:
-        import numpy as np
+    import numpy as np
 
-        from ..core.columns import STATUS_ORDER
+    from ..core.columns import STATUS_ORDER
 
-        store = dataset.columns()
-        n_status = len(STATUS_ORDER)
-        in_era = store.era_idx >= 0
-        grid = np.bincount(
-            store.era_idx[in_era].astype(np.int64) * n_status
-            + store.status[in_era],
-            minlength=len(ERAS) * n_status,
-        ).reshape(len(ERAS), n_status)
-        return {
-            era.name: _funnel_from_status_counts(
-                {status: int(grid[i, j]) for j, status in enumerate(STATUS_ORDER)}
-            )
-            for i, era in enumerate(ERAS)
-        }
+    store = dataset.columns()
+    n_status = len(STATUS_ORDER)
+    in_era = store.era_idx >= 0
+    grid = np.bincount(
+        store.era_idx[in_era].astype(np.int64) * n_status
+        + store.status[in_era],
+        minlength=len(ERAS) * n_status,
+    ).reshape(len(ERAS), n_status)
     return {
-        era.name: contract_funnel(dataset, dataset.in_era(era), fast=False)
-        for era in ERAS
+        era.name: _funnel_from_status_counts(
+            {status: int(grid[i, j]) for j, status in enumerate(STATUS_ORDER)}
+        )
+        for i, era in enumerate(ERAS)
     }

@@ -9,13 +9,12 @@ completion date; Figure 4 uses only those that do).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.columns import month_from_index
+from ..core.columns import CTYPE_ORDER, month_from_index
 from ..core.dataset import MarketDataset
-from ..core.kernels import count_dispatch
 from ..core.entities import Contract, ContractType
 from ..core.timeutils import Month, month_of
 
@@ -71,65 +70,25 @@ def _first_month_counts(
     return _month_counts(np.where(first == sentinel, np.int64(-1), first))
 
 
-def monthly_growth(dataset: MarketDataset, fast: bool = True) -> List[GrowthPoint]:
+def monthly_growth(dataset: MarketDataset) -> List[GrowthPoint]:
     """Figure 1: monthly created/completed contracts and new members.
 
-    ``fast`` runs on the columnar store via ``np.bincount``;
-    ``fast=False`` keeps the object-path reference implementation.
+    Every count is an ``np.bincount`` over the columnar store.
     """
-    count_dispatch(fast)
-    if fast:
-        store = dataset.columns()
-        created_counts = _month_counts(store.month_idx)
-        completed_counts = _month_counts(store.settled_month_idx)
-        new_created = _first_month_counts(
-            [store.maker_code, store.taker_code],
-            [store.month_idx, store.month_idx],
-            store.n_users,
-        )
-        settled = store.settled_month_idx >= 0
-        new_completed = _first_month_counts(
-            [store.maker_code[settled], store.taker_code[settled]],
-            [store.settled_month_idx[settled]] * 2,
-            store.n_users,
-        )
-        months = sorted(set(created_counts) | set(completed_counts))
-        return [
-            GrowthPoint(
-                month=month,
-                contracts_created=created_counts.get(month, 0),
-                contracts_completed=completed_counts.get(month, 0),
-                new_members_created=new_created.get(month, 0),
-                new_members_completed=new_completed.get(month, 0),
-            )
-            for month in months
-        ]
-
-    created_counts = {}
-    completed_counts = {}
-    first_created: Dict[int, Month] = {}
-    first_completed: Dict[int, Month] = {}
-
-    for contract in dataset.contracts:
-        created_in = month_of(contract.created_at)
-        created_counts[created_in] = created_counts.get(created_in, 0) + 1
-        for user in contract.parties():
-            if user not in first_created or created_in < first_created[user]:
-                first_created[user] = created_in
-        settled = completion_month(contract)
-        if settled is not None:
-            completed_counts[settled] = completed_counts.get(settled, 0) + 1
-            for user in contract.parties():
-                if user not in first_completed or settled < first_completed[user]:
-                    first_completed[user] = settled
-
-    new_created = {}
-    for month in first_created.values():
-        new_created[month] = new_created.get(month, 0) + 1
-    new_completed = {}
-    for month in first_completed.values():
-        new_completed[month] = new_completed.get(month, 0) + 1
-
+    store = dataset.columns()
+    created_counts = _month_counts(store.month_idx)
+    completed_counts = _month_counts(store.settled_month_idx)
+    new_created = _first_month_counts(
+        [store.maker_code, store.taker_code],
+        [store.month_idx, store.month_idx],
+        store.n_users,
+    )
+    settled = store.settled_month_idx >= 0
+    new_completed = _first_month_counts(
+        [store.maker_code[settled], store.taker_code[settled]],
+        [store.settled_month_idx[settled]] * 2,
+        store.n_users,
+    )
     months = sorted(set(created_counts) | set(completed_counts))
     return [
         GrowthPoint(
@@ -143,46 +102,17 @@ def monthly_growth(dataset: MarketDataset, fast: bool = True) -> List[GrowthPoin
     ]
 
 
-def visibility_share(
-    dataset: MarketDataset, fast: bool = True
-) -> Dict[Month, Dict[str, float]]:
+def visibility_share(dataset: MarketDataset) -> Dict[Month, Dict[str, float]]:
     """Figure 2: share of public contracts per month.
 
     Returns ``{month: {"created": share, "completed": share}}``.
     """
-    count_dispatch(fast)
-    if fast:
-        store = dataset.columns()
-        created_total = _month_counts(store.month_idx)
-        created_public = _month_counts(store.month_idx[store.is_public])
-        completed_total = _month_counts(store.settled_month_idx)
-        completed_public = _month_counts(store.settled_month_idx[store.is_public])
-        result: Dict[Month, Dict[str, float]] = {}
-        for month in sorted(set(created_total) | set(completed_total)):
-            created = created_total.get(month, 0)
-            completed = completed_total.get(month, 0)
-            result[month] = {
-                "created": created_public.get(month, 0) / created if created else 0.0,
-                "completed": completed_public.get(month, 0) / completed if completed else 0.0,
-            }
-        return result
-
-    created_total = {}
-    created_public = {}
-    completed_total = {}
-    completed_public = {}
-    for contract in dataset.contracts:
-        month = month_of(contract.created_at)
-        created_total[month] = created_total.get(month, 0) + 1
-        if contract.is_public:
-            created_public[month] = created_public.get(month, 0) + 1
-        settled = completion_month(contract)
-        if settled is not None:
-            completed_total[settled] = completed_total.get(settled, 0) + 1
-            if contract.is_public:
-                completed_public[settled] = completed_public.get(settled, 0) + 1
-
-    result = {}
+    store = dataset.columns()
+    created_total = _month_counts(store.month_idx)
+    created_public = _month_counts(store.month_idx[store.is_public])
+    completed_total = _month_counts(store.settled_month_idx)
+    completed_public = _month_counts(store.settled_month_idx[store.is_public])
+    result: Dict[Month, Dict[str, float]] = {}
     for month in sorted(set(created_total) | set(completed_total)):
         created = created_total.get(month, 0)
         completed = completed_total.get(month, 0)
@@ -194,118 +124,71 @@ def visibility_share(
 
 
 def type_proportions(
-    dataset: MarketDataset, completed_only: bool = False, fast: bool = True
+    dataset: MarketDataset, completed_only: bool = False
 ) -> Dict[Month, Dict[ContractType, float]]:
     """Figure 3: monthly share of each contract type.
 
     Shares are of contracts created that month (or completed, when
     ``completed_only``); they sum to 1 per month.
     """
-    count_dispatch(fast)
-    if fast:
-        from ..core.columns import CTYPE_ORDER
-
-        store = dataset.columns()
-        month_idx = store.settled_month_idx if completed_only else store.month_idx
-        valid = month_idx >= 0
-        months_v = month_idx[valid]
-        types_v = store.ctype[valid].astype(np.int64)
-        if not len(months_v):
-            return {}
-        base = int(months_v.min())
-        n_types = len(CTYPE_ORDER)
-        grid = np.bincount(
-            (months_v - base) * n_types + types_v,
-            minlength=(int(months_v.max()) - base + 1) * n_types,
-        ).reshape(-1, n_types)
-        result: Dict[Month, Dict[ContractType, float]] = {}
-        for offset, row in enumerate(grid):
-            total = int(row.sum())
-            if not total:
-                continue
-            result[month_from_index(base + offset)] = {
-                ctype: int(row[code]) / total
-                for code, ctype in enumerate(CTYPE_ORDER)
-            }
-        return result
-
-    counts: Dict[Month, Dict[ContractType, int]] = {}
-    for contract in dataset.contracts:
-        if completed_only:
-            month = completion_month(contract)
-            if month is None:
-                continue
-        else:
-            month = month_of(contract.created_at)
-        bucket = counts.setdefault(month, {})
-        bucket[contract.ctype] = bucket.get(contract.ctype, 0) + 1
-
-    result = {}
-    for month in sorted(counts):
-        total = sum(counts[month].values())
-        result[month] = {
-            ctype: counts[month].get(ctype, 0) / total for ctype in ContractType
+    store = dataset.columns()
+    month_idx = store.settled_month_idx if completed_only else store.month_idx
+    valid = month_idx >= 0
+    months_v = month_idx[valid]
+    types_v = store.ctype[valid].astype(np.int64)
+    if not len(months_v):
+        return {}
+    base = int(months_v.min())
+    n_types = len(CTYPE_ORDER)
+    grid = np.bincount(
+        (months_v - base) * n_types + types_v,
+        minlength=(int(months_v.max()) - base + 1) * n_types,
+    ).reshape(-1, n_types)
+    result: Dict[Month, Dict[ContractType, float]] = {}
+    for offset, row in enumerate(grid):
+        total = int(row.sum())
+        if not total:
+            continue
+        result[month_from_index(base + offset)] = {
+            ctype: int(row[code]) / total
+            for code, ctype in enumerate(CTYPE_ORDER)
         }
     return result
 
 
 def completion_times(
-    dataset: MarketDataset, fast: bool = True
+    dataset: MarketDataset,
 ) -> Dict[Month, Dict[ContractType, float]]:
     """Figure 4: average completion hours per type per (creation) month.
 
     Only contracts with a recorded completion date contribute; months or
     types with no such contracts are absent from the inner dict.
     """
-    count_dispatch(fast)
-    if fast:
-        from ..core.columns import CTYPE_ORDER
-
-        store = dataset.columns()
-        mask = store.is_complete & store.has_completed
-        if not mask.any():
-            return {}
-        months_v = store.month_idx[mask]
-        types_v = store.ctype[mask].astype(np.int64)
-        hours_v = store.completion_hours[mask]
-        base = int(months_v.min())
-        n_types = len(CTYPE_ORDER)
-        cells = (months_v - base) * n_types + types_v
-        n_cells = (int(months_v.max()) - base + 1) * n_types
-        sums_grid = np.zeros(n_cells, dtype=np.float64)
-        np.add.at(sums_grid, cells, hours_v)
-        counts_grid = np.bincount(cells, minlength=n_cells)
-        result: Dict[Month, Dict[ContractType, float]] = {}
-        for offset in range(n_cells // n_types):
-            row = slice(offset * n_types, (offset + 1) * n_types)
-            row_counts = counts_grid[row]
-            if not row_counts.any():
-                continue
-            result[month_from_index(base + offset)] = {
-                CTYPE_ORDER[code]: float(
-                    sums_grid[offset * n_types + code] / row_counts[code]
-                )
-                for code in range(n_types)
-                if row_counts[code]
-            }
-        return result
-
-    sums: Dict[Month, Dict[ContractType, float]] = {}
-    counts: Dict[Month, Dict[ContractType, int]] = {}
-    for contract in dataset.contracts:
-        hours = contract.completion_hours
-        if hours is None or not contract.is_complete:
+    store = dataset.columns()
+    mask = store.is_complete & store.has_completed
+    if not mask.any():
+        return {}
+    months_v = store.month_idx[mask]
+    types_v = store.ctype[mask].astype(np.int64)
+    hours_v = store.completion_hours[mask]
+    base = int(months_v.min())
+    n_types = len(CTYPE_ORDER)
+    cells = (months_v - base) * n_types + types_v
+    n_cells = (int(months_v.max()) - base + 1) * n_types
+    sums_grid = np.zeros(n_cells, dtype=np.float64)
+    np.add.at(sums_grid, cells, hours_v)
+    counts_grid = np.bincount(cells, minlength=n_cells)
+    result: Dict[Month, Dict[ContractType, float]] = {}
+    for offset in range(n_cells // n_types):
+        row = slice(offset * n_types, (offset + 1) * n_types)
+        row_counts = counts_grid[row]
+        if not row_counts.any():
             continue
-        month = month_of(contract.created_at)
-        sums.setdefault(month, {}).setdefault(contract.ctype, 0.0)
-        counts.setdefault(month, {}).setdefault(contract.ctype, 0)
-        sums[month][contract.ctype] += hours
-        counts[month][contract.ctype] += 1
-
-    return {
-        month: {
-            ctype: sums[month][ctype] / counts[month][ctype]
-            for ctype in sums[month]
+        result[month_from_index(base + offset)] = {
+            CTYPE_ORDER[code]: float(
+                sums_grid[offset * n_types + code] / row_counts[code]
+            )
+            for code in range(n_types)
+            if row_counts[code]
         }
-        for month in sorted(sums)
-    }
+    return result

@@ -50,7 +50,11 @@ from ..core.columns import CTYPE_ORDER, STATUS_ORDER, month_from_index
 from ..core.eras import ERAS
 from ..core.partitions import MonthPartition, PartitionStore
 from ..core.timeutils import Month
-from ..network.degrees import DegreeGrowthPoint
+from ..network.degrees import (
+    DegreeGrowthPoint,
+    _first_months,
+    _replay_degree_growth,
+)
 from ..obs.tracer import get_tracer
 from ..stats.descriptive import gini
 from .centralisation import (
@@ -552,8 +556,8 @@ class DegreeGrowthKernel(StreamingKernel):
 
     Each partition dedups its own edges to (endpoint, endpoint, month)
     triples — the compact state — and ``finalize`` dedups across
-    partitions (keeping each edge's earliest month) before replaying
-    the cumulative degree arrays exactly as the resident kernel does.
+    partitions (keeping each edge's earliest month) and replays the
+    cumulative degree arrays with the resident kernel's own replay.
     Endpoint ids are remapped to dense codes at finalize; every
     published value (averages, maxima) is invariant to the remap.
     """
@@ -608,50 +612,24 @@ class DegreeGrowthKernel(StreamingKernel):
                 np.full(len(a), month, dtype=np.int64)
                 for a, _, month in edges
             ])
-            unique, inverse = np.unique(keys, return_inverse=True)
-            first = np.full(len(unique), _MAX64, dtype=np.int64)
-            np.minimum.at(first, inverse, months)
-            return unique, first
+            return _first_months(keys, months)
 
-        raw_keys, raw_first = first_keys(self._raw)
-        directed_keys, directed_first = first_keys(self._directed)
+        raw = first_keys(self._raw)
+        directed = first_keys(self._directed)
         node_months = np.concatenate([
             np.full(len(ids), month, dtype=np.int64)
             for ids, month in self._nodes
         ])
-        node_codes = np.searchsorted(codes, node_ids)
-        node_unique, inverse = np.unique(node_codes, return_inverse=True)
-        node_first = np.full(len(node_unique), _MAX64, dtype=np.int64)
-        np.minimum.at(node_first, inverse, node_months)
+        _, node_first = _first_months(np.searchsorted(codes, node_ids), node_months)
 
         months_present = [month for _, month in self._nodes]
-        deg_raw = np.zeros(n, dtype=np.int64)
-        deg_in = np.zeros(n, dtype=np.int64)
-        deg_out = np.zeros(n, dtype=np.int64)
-        raw_sum = 0
-        present = 0
-        series: List[DegreeGrowthPoint] = []
-        for idx in range(min(months_present), max(months_present) + 1):
-            new_raw = raw_keys[raw_first == idx]
-            low, high = new_raw // n, new_raw % n
-            np.add.at(deg_raw, low, 1)
-            selfless = high != low
-            np.add.at(deg_raw, high[selfless], 1)
-            raw_sum += len(low) + int(selfless.sum())
-            new_directed = directed_keys[directed_first == idx]
-            np.add.at(deg_out, new_directed // n, 1)
-            np.add.at(deg_in, new_directed % n, 1)
-            present += int((node_first == idx).sum())
-            series.append(
-                DegreeGrowthPoint(
-                    month=month_from_index(idx),
-                    average_raw=raw_sum / present if present else 0.0,
-                    max_raw=int(deg_raw.max()),
-                    max_inbound=int(deg_in.max()),
-                    max_outbound=int(deg_out.max()),
-                )
-            )
-        return series
+        return _replay_degree_growth(
+            raw,
+            directed,
+            node_first,
+            months=range(min(months_present), max(months_present) + 1),
+            n_users=n,
+        )
 
 
 # --------------------------------------------------------------------- #

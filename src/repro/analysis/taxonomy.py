@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..core.dataset import MarketDataset
-from ..core.kernels import count_dispatch
 from ..core.entities import ContractStatus, ContractType, Visibility
 
 __all__ = [
@@ -82,37 +81,28 @@ class TaxonomyTable:
         return missed / row
 
 
-def contract_taxonomy(dataset: MarketDataset, fast: bool = True) -> TaxonomyTable:
+def contract_taxonomy(dataset: MarketDataset) -> TaxonomyTable:
     """Tabulate contracts by (type, status) — the paper's Table 1.
 
-    ``fast`` computes the whole table as one ``np.bincount`` over the
-    columnar store; ``fast=False`` keeps the object-path reference.
+    The whole table is one ``np.bincount`` over the columnar store.
     """
-    count_dispatch(fast)
-    if fast:
-        import numpy as np
+    import numpy as np
 
-        from ..core.columns import CTYPE_ORDER, STATUS_ORDER as STATUS_CODES
+    from ..core.columns import CTYPE_ORDER, STATUS_ORDER as STATUS_CODES
 
-        store = dataset.columns()
-        n_status = len(STATUS_CODES)
-        grid = np.bincount(
-            store.ctype.astype(np.int64) * n_status + store.status,
-            minlength=len(CTYPE_ORDER) * n_status,
-        ).reshape(len(CTYPE_ORDER), n_status)
-        counts = {
-            (ctype, status): int(grid[i, j])
-            for i, ctype in enumerate(CTYPE_ORDER)
-            for j, status in enumerate(STATUS_CODES)
-            if grid[i, j]
-        }
-        return TaxonomyTable(counts=counts, total=store.n)
-
-    counts = {}
-    for contract in dataset.contracts:
-        key = (contract.ctype, contract.status)
-        counts[key] = counts.get(key, 0) + 1
-    return TaxonomyTable(counts=counts, total=len(dataset.contracts))
+    store = dataset.columns()
+    n_status = len(STATUS_CODES)
+    grid = np.bincount(
+        store.ctype.astype(np.int64) * n_status + store.status,
+        minlength=len(CTYPE_ORDER) * n_status,
+    ).reshape(len(CTYPE_ORDER), n_status)
+    counts = {
+        (ctype, status): int(grid[i, j])
+        for i, ctype in enumerate(CTYPE_ORDER)
+        for j, status in enumerate(STATUS_CODES)
+        if grid[i, j]
+    }
+    return TaxonomyTable(counts=counts, total=store.n)
 
 
 @dataclass
@@ -163,40 +153,27 @@ class VisibilityTable:
         return completed / created if created else 0.0
 
 
-def visibility_table(dataset: MarketDataset, fast: bool = True) -> VisibilityTable:
+def visibility_table(dataset: MarketDataset) -> VisibilityTable:
     """Tabulate visibility per type for created and completed contracts."""
-    count_dispatch(fast)
-    if fast:
-        import numpy as np
+    import numpy as np
 
-        from ..core.columns import CTYPE_ORDER, VISIBILITY_ORDER
+    from ..core.columns import CTYPE_ORDER, VISIBILITY_ORDER
 
-        store = dataset.columns()
-        n_vis = len(VISIBILITY_ORDER)
-        cells = store.ctype.astype(np.int64) * n_vis + store.visibility
-        minlength = len(CTYPE_ORDER) * n_vis
+    store = dataset.columns()
+    n_vis = len(VISIBILITY_ORDER)
+    cells = store.ctype.astype(np.int64) * n_vis + store.visibility
+    minlength = len(CTYPE_ORDER) * n_vis
 
-        def table(grid: np.ndarray) -> Dict[Tuple[ContractType, Visibility], int]:
-            grid = grid.reshape(len(CTYPE_ORDER), n_vis)
-            return {
-                (ctype, vis): int(grid[i, j])
-                for i, ctype in enumerate(CTYPE_ORDER)
-                for j, vis in enumerate(VISIBILITY_ORDER)
-                if grid[i, j]
-            }
+    def table(grid: np.ndarray) -> Dict[Tuple[ContractType, Visibility], int]:
+        grid = grid.reshape(len(CTYPE_ORDER), n_vis)
+        return {
+            (ctype, vis): int(grid[i, j])
+            for i, ctype in enumerate(CTYPE_ORDER)
+            for j, vis in enumerate(VISIBILITY_ORDER)
+            if grid[i, j]
+        }
 
-        return VisibilityTable(
-            created=table(np.bincount(cells, minlength=minlength)),
-            completed=table(
-                np.bincount(cells[store.is_complete], minlength=minlength)
-            ),
-        )
-
-    created: Dict[Tuple[ContractType, Visibility], int] = {}
-    completed: Dict[Tuple[ContractType, Visibility], int] = {}
-    for contract in dataset.contracts:
-        key = (contract.ctype, contract.visibility)
-        created[key] = created.get(key, 0) + 1
-        if contract.is_complete:
-            completed[key] = completed.get(key, 0) + 1
-    return VisibilityTable(created=created, completed=completed)
+    return VisibilityTable(
+        created=table(np.bincount(cells, minlength=minlength)),
+        completed=table(np.bincount(cells[store.is_complete], minlength=minlength)),
+    )

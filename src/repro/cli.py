@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--write-baseline", action="store_true",
                       help="rewrite the baseline from the current findings")
     lint.add_argument("--explain", metavar="RULE",
-                      help="print the rationale for one rule id (e.g. R003)")
+                      help="print the rationale for one rule id (e.g. R004)")
     lint.add_argument("--list-rules", action="store_true",
                       help="list the registered rules")
     lint.add_argument("--changed", action="store_true",

@@ -1,11 +1,11 @@
-"""Columnar fast path: contiguous NumPy arrays built from a dataset.
+"""The column store: contiguous NumPy arrays built from a dataset.
 
 Every analysis in this library is a pure function of a
 :class:`~repro.core.dataset.MarketDataset`, but the dataset stores Python
-objects and the object-path kernels re-walk those lists in interpreted
-loops.  A :class:`ColumnStore` is built once (and cached on the dataset by
+objects, and walking those lists in interpreted loops is slow.  A
+:class:`ColumnStore` is built once (and cached on the dataset by
 ``MarketDataset.columns()``) and exposes the contract, rating and post
-fields as contiguous arrays, so the hot kernels can run on
+fields as contiguous arrays, so the analysis kernels run on
 ``np.bincount``/boolean masks instead of per-object loops.
 
 Schema (all arrays share the contract row order, which is the dataset's
@@ -43,12 +43,10 @@ import numpy as np
 
 from .entities import Contract, ContractStatus, ContractType, Visibility
 from .eras import DATA_END, ERAS
-from .kernels import columnar_kernel
 from .timeutils import Month
 
 __all__ = [
     "ColumnStore",
-    "columnar_kernel",
     "RatingColumns",
     "PostColumns",
     "CTYPE_ORDER",

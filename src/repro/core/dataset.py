@@ -27,7 +27,6 @@ from .entities import (
 )
 from .eras import Era, era_of
 from ..obs.tracer import get_tracer
-from .kernels import columnar_kernel, count_dispatch
 from .timeutils import Month, month_of
 
 __all__ = ["MarketDataset", "UserActivity"]
@@ -243,26 +242,17 @@ class MarketDataset:
             self._by_completed_month = dict(index)
         return self._by_completed_month
 
-    def participant_ids(self, fast: bool = True) -> Set[int]:
+    def participant_ids(self) -> Set[int]:
         """Ids of every user who is party to at least one contract.
 
-        ``fast`` uses the columnar store (a vectorized unique over the
-        maker/taker columns); ``fast=False`` keeps the object-path
-        reference implementation.
+        A vectorized unique over the columnar store's maker/taker columns.
         """
-        count_dispatch(fast)
-        if fast and len(self):
-            import numpy as np
+        import numpy as np
 
-            store = self.columns()
-            return set(
-                np.unique(np.concatenate([store.maker_id, store.taker_id])).tolist()
-            )
-        ids: Set[int] = set()
-        for contract in self.contracts:
-            ids.add(contract.maker_id)
-            ids.add(contract.taker_id)
-        return ids
+        store = self.columns()
+        return set(
+            np.unique(np.concatenate([store.maker_id, store.taker_id])).tolist()
+        )
 
     # ------------------------------------------------------------------ #
     # per-user activity (cold start variables)
@@ -272,88 +262,15 @@ class MarketDataset:
         self,
         start: Optional[_dt.datetime] = None,
         end: Optional[_dt.datetime] = None,
-        fast: bool = True,
     ) -> Dict[int, UserActivity]:
         """Compute per-user activity summaries over ``[start, end]``.
 
         Both bounds are inclusive and optional; omitted bounds span the
         whole dataset.  Only users who are party to at least one contract
         in the window (or who posted or were rated in it) appear in the
-        result.  ``fast`` computes all counts as grouped array reductions
-        over the columnar store; ``fast=False`` keeps the object-path
-        reference implementation.
+        result.  All counts are grouped array reductions (bincount and
+        min/max per user code) over the columnar store.
         """
-        count_dispatch(fast)
-        if fast:
-            return self._user_activity_columnar(start, end)
-
-        def in_window(when: Optional[_dt.datetime]) -> bool:
-            if when is None:
-                return False
-            if start is not None and when < start:
-                return False
-            if end is not None and when > end:
-                return False
-            return True
-
-        activity: Dict[int, UserActivity] = {}
-
-        def get(user_id: int) -> UserActivity:
-            record = activity.get(user_id)
-            if record is None:
-                record = UserActivity(user_id=user_id)
-                activity[user_id] = record
-            return record
-
-        for contract in self.contracts:
-            if not in_window(contract.created_at):
-                continue
-            maker = get(contract.maker_id)
-            taker = get(contract.taker_id)
-            maker.initiated += 1
-            taker.accepted += 1
-            for record in (maker, taker):
-                if record.first_contract_at is None or contract.created_at < record.first_contract_at:
-                    record.first_contract_at = contract.created_at
-                if record.last_active_at is None or contract.created_at > record.last_active_at:
-                    record.last_active_at = contract.created_at
-            if contract.is_complete:
-                maker.completed += 1
-                taker.completed += 1
-            if contract.status == ContractStatus.DISPUTED:
-                maker.disputes += 1
-                taker.disputes += 1
-
-        for rating in self.ratings:
-            if not in_window(rating.created_at):
-                continue
-            record = get(rating.ratee_id)
-            if rating.score > 0:
-                record.positive_ratings += 1
-            else:
-                record.negative_ratings += 1
-
-        for post in self.posts:
-            if not in_window(post.created_at):
-                continue
-            record = get(post.author_id)
-            record.total_posts += 1
-            if post.is_marketplace:
-                record.marketplace_posts += 1
-            if record.first_post_at is None or post.created_at < record.first_post_at:
-                record.first_post_at = post.created_at
-            if record.last_active_at is None or post.created_at > record.last_active_at:
-                record.last_active_at = post.created_at
-
-        return activity
-
-    @columnar_kernel
-    def _user_activity_columnar(
-        self,
-        start: Optional[_dt.datetime],
-        end: Optional[_dt.datetime],
-    ) -> Dict[int, UserActivity]:
-        """Vectorized :meth:`user_activity`: bincount/min/max per user code."""
         import numpy as np
 
         from .columns import NAT_US
@@ -453,33 +370,19 @@ class MarketDataset:
     # summaries
     # ------------------------------------------------------------------ #
 
-    def summary(self, fast: bool = True) -> Dict[str, int]:
+    def summary(self) -> Dict[str, int]:
         """Headline counts, handy for logging and quick sanity checks.
 
-        ``fast`` reads the columnar store; ``fast=False`` runs a single
-        object pass computing all contract-derived counts together.
+        Contract-derived counts are read off the columnar store.
         """
-        count_dispatch(fast)
-        if fast and len(self):
-            import numpy as np
+        import numpy as np
 
-            store = self.columns()
-            participants = np.unique(
-                np.concatenate([store.maker_code, store.taker_code])
-            ).size
-            completed = int(store.is_complete.sum())
-            public = int(store.is_public.sum())
-        else:
-            participant_set: Set[int] = set()
-            completed = public = 0
-            for contract in self.contracts:
-                if contract.is_complete:
-                    completed += 1
-                if contract.is_public:
-                    public += 1
-                participant_set.add(contract.maker_id)
-                participant_set.add(contract.taker_id)
-            participants = len(participant_set)
+        store = self.columns()
+        participants = np.unique(
+            np.concatenate([store.maker_code, store.taker_code])
+        ).size
+        completed = int(store.is_complete.sum())
+        public = int(store.is_public.sum())
         counts = self._entity_counts()
         return {
             "users": counts["users"],

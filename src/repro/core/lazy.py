@@ -12,9 +12,9 @@ for object construction up front:
   vectorized analysis kernels never touch an entity object;
 * the ``users``/``contracts``/``threads``/``posts``/``ratings``
   attributes are properties that materialize the corresponding object
-  list on first access and cache it — legacy object-path callers keep
-  working, they just pay the conversion cost only when (and if) they
-  actually iterate objects.
+  list on first access and cache it — object consumers keep working,
+  they just pay the conversion cost only when (and if) they actually
+  iterate objects.
 
 Table rows must already be in the dataset's canonical order (contracts
 and posts sorted chronologically with ids as tie-breakers); the
@@ -142,10 +142,10 @@ class ColumnBackedDataset(MarketDataset):
     """A :class:`MarketDataset` whose entity lists are lazy views.
 
     Constructed from a table dict instead of object sequences.  Array
-    consumers (``columns()``, ``summary(fast=True)``, ``len()``) never
-    trigger object materialization; object consumers transparently build
-    the entity lists on first attribute access, once, with the result
-    cached for the dataset's lifetime.
+    consumers (``columns()``, ``summary()``, ``len()`` and every analysis
+    kernel) never trigger object materialization; object consumers
+    transparently build the entity lists on first attribute access, once,
+    with the result cached for the dataset's lifetime.
     """
 
     def __init__(self, tables: Dict[str, np.ndarray]) -> None:

@@ -2,8 +2,8 @@
 
 Currently one subpackage: :mod:`repro.devtools.lint` ("reprolint"), the
 project-specific static-analysis pass enforcing the reproduction's
-invariants (seeded randomness, wall-clock hygiene, fast/object parity,
-era single-source-of-truth).  Exposed on the command line as
+invariants (seeded randomness, wall-clock hygiene, array-only kernel
+modules, era single-source-of-truth).  Exposed on the command line as
 ``python -m repro lint``.
 """
 

@@ -12,9 +12,7 @@ R001  unseeded-rng            randomness flows through an explicit
                               per seed)
 R002  wall-clock-in-library   no ``time.time()`` / ``datetime.now()``
                               outside ``cli.py`` and ``benchmarks/``
-R003  fast-path-parity        every public ``fast=`` kernel has a
-                              ``fast=False`` parity test
-R004  object-loop-in-kernel   columnar kernels never loop over
+R004  object-loop-in-kernel   columnar kernel modules never loop over
                               ``.contracts`` / ``.posts`` / ``.users``
 R005  era-literal             era-boundary dates come only from
                               :mod:`repro.core.eras`
@@ -48,7 +46,7 @@ R014  stale-justification     justification comments must still anchor
 ====  ======================  ==============================================
 
 Run it with ``python -m repro lint`` (``--format json`` / ``sarif`` for
-machines, ``--explain R003`` for the rationale behind one rule,
+machines, ``--explain R004`` for the rationale behind one rule,
 ``--changed`` for the sub-second pre-commit pass, ``--no-program`` to
 skip the interprocedural rules).  Grandfathered findings live in
 ``lint-baseline.txt`` at the repo root, regenerated with

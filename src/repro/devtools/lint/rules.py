@@ -4,7 +4,7 @@ Each rule is a small class with an ``id``, ``severity``, a ``scope``
 (which file kinds it visits) and a docstring that ``repro lint
 --explain <id>`` renders verbatim.  Rules implement ``visit`` (called
 once per in-scope file) and/or ``finalize`` (called once with every
-collected file, for cross-module checks such as fast-path parity).
+collected file, for cross-module checks).
 
 The rules encode invariants specific to this reproduction:
 
@@ -12,8 +12,8 @@ The rules encode invariants specific to this reproduction:
   bit-identical per seed, so randomness must flow through explicit
   ``numpy.random.Generator`` objects and library code must not read the
   wall clock;
-* fast/object parity — every vectorized ``fast=`` kernel must keep a
-  parity test against its object-path reference;
+* columnar kernels — the analysis kernel modules compute on arrays,
+  never by walking the entity lists;
 * era hygiene — the externally-defined era boundaries (1 Jun 2018 /
   1 Mar 2019 / 11 Mar 2020) live only in :mod:`repro.core.eras`;
 * failure hygiene — catch-all exception handlers in library code must
@@ -248,95 +248,25 @@ class WallClockInLibrary(Rule):
 
 
 # --------------------------------------------------------------------- #
-# R003 fast-path-parity
-# --------------------------------------------------------------------- #
-
-
-class FastPathParity(Rule):
-    """R003 fast-path-parity: every public function exposing a ``fast``
-    keyword must be exercised against its object-path reference.
-
-    The vectorized kernels only stay trustworthy while a test pins
-    ``fast=True`` output to the ``fast=False`` reference implementation.
-    This rule collects every public ``def f(..., fast=...)`` in ``src/``
-    and requires that some test in ``tests/`` calls ``f`` (by name, as a
-    function or method) with the literal keyword ``fast=False``.
-    Matching is by terminal name, so ``ds.summary(fast=False)`` covers
-    ``MarketDataset.summary``.  Private (underscore-prefixed) helpers
-    are exempt — their public callers are checked instead.
-    """
-
-    id = "R003"
-    name = "fast-path-parity"
-    scope = ("src", "tests")
-
-    def finalize(self, sources):  # noqa: ANN001
-        fast_funcs: List[Tuple["SourceFile", ast.AST, str]] = []  # noqa: F821
-        referenced: Set[str] = set()
-        for source in sources:
-            if source.kind == "src":
-                for node in ast.walk(source.tree):
-                    if not isinstance(
-                        node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        continue
-                    if node.name.startswith("_"):
-                        continue
-                    args = node.args
-                    names = [
-                        a.arg
-                        for a in (
-                            list(args.posonlyargs)
-                            + list(args.args)
-                            + list(args.kwonlyargs)
-                        )
-                    ]
-                    if "fast" in names:
-                        fast_funcs.append((source, node, node.name))
-            elif source.kind == "tests":
-                for node in ast.walk(source.tree):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    for kw in node.keywords:
-                        if (
-                            kw.arg == "fast"
-                            and isinstance(kw.value, ast.Constant)
-                            and kw.value.value is False
-                        ):
-                            name = _terminal_name(node.func)
-                            if name:
-                                referenced.add(name)
-        for source, node, name in fast_funcs:
-            if name not in referenced:
-                yield self.finding(
-                    source, node,
-                    f"public fast-path function '{name}' has no "
-                    f"fast=False parity reference in tests/ — add a test "
-                    f"comparing fast=True against fast=False",
-                )
-
-
-# --------------------------------------------------------------------- #
 # R004 object-loop-in-kernel
 # --------------------------------------------------------------------- #
 
 
 class ObjectLoopInKernel(Rule):
-    """R004 object-loop-in-kernel: columnar kernels must not fall back to
-    per-object Python loops.
+    """R004 object-loop-in-kernel: columnar kernel modules must not fall
+    back to per-object Python loops.
 
-    A *columnar kernel* — a function whose name ends in ``_columnar``,
-    that carries the ``@columnar_kernel`` decorator from
-    :mod:`repro.core.columns`, or that lives in an all-columnar module
-    (:mod:`repro.synth.fastgen`, where the whole point is generating
-    into arrays) — promises to compute on the
-    :class:`~repro.core.columns.ColumnStore` arrays.  A ``for`` loop (or
-    comprehension) over the entity lists ``.contracts`` / ``.posts`` /
-    ``.users`` inside one re-introduces the interpreted per-object walk
-    the kernel exists to avoid, usually silently after a refactor.
-    Iterate over store arrays (``np.bincount``, boolean masks,
-    ``np.add.at``) instead, or drop the kernel marking if the function is
-    genuinely object-path code.
+    A *kernel module* promises to compute on arrays: the
+    :class:`~repro.core.columns.ColumnStore` for the single-path
+    analyses (:mod:`repro.analysis.monthly`, ``taxonomy``, ``funnel``,
+    ``centralisation`` and :mod:`repro.network.degrees`) and the
+    generation tables for :mod:`repro.synth.fastgen`.  A ``for`` loop
+    (or comprehension) over the entity lists ``.contracts`` / ``.posts``
+    / ``.users`` in any function of one re-introduces the interpreted
+    per-object walk the module exists to avoid, usually silently after a
+    refactor.  Iterate over store arrays (``np.bincount``, boolean
+    masks, ``np.add.at``) instead, or move genuinely object-level code
+    out of the kernel module.
     """
 
     id = "R004"
@@ -344,21 +274,15 @@ class ObjectLoopInKernel(Rule):
     scope = ("src",)
 
     _ENTITY_LISTS = {"contracts", "posts", "users"}
-    #: Modules where *every* function is held to the kernel contract.
-    _KERNEL_MODULES = ("src/repro/synth/fastgen.py",)
-
-    def _is_kernel(self, node: ast.AST, module_is_kernel: bool = False) -> bool:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return False
-        if module_is_kernel:
-            return True
-        if node.name.endswith("_columnar"):
-            return True
-        for deco in node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            if _terminal_name(target) == "columnar_kernel":
-                return True
-        return False
+    #: Modules where every function is held to the kernel contract.
+    _KERNEL_MODULES = (
+        "src/repro/analysis/centralisation.py",
+        "src/repro/analysis/funnel.py",
+        "src/repro/analysis/monthly.py",
+        "src/repro/analysis/taxonomy.py",
+        "src/repro/network/degrees.py",
+        "src/repro/synth/fastgen.py",
+    )
 
     def _entity_iter(self, iter_node: ast.AST) -> Optional[str]:
         node = iter_node
@@ -376,9 +300,10 @@ class ObjectLoopInKernel(Rule):
         return None
 
     def visit(self, source):  # noqa: ANN001
-        module_is_kernel = source.path in self._KERNEL_MODULES
+        if source.path not in self._KERNEL_MODULES:
+            return
         for func in ast.walk(source.tree):
-            if not self._is_kernel(func, module_is_kernel):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(func):
                 iters: List[ast.AST] = []
@@ -394,9 +319,9 @@ class ObjectLoopInKernel(Rule):
                     if attr:
                         yield self.finding(
                             source, node,
-                            f"columnar kernel '{func.name}' loops over "
-                            f".{attr} — compute on ColumnStore arrays "
-                            f"instead of per-object Python loops",
+                            f"'{func.name}' in a columnar kernel module "
+                            f"loops over .{attr} — compute on ColumnStore "
+                            f"arrays instead of per-object Python loops",
                         )
 
 
@@ -713,7 +638,6 @@ RULES: Dict[str, type] = {
     for rule in (
         UnseededRng,
         WallClockInLibrary,
-        FastPathParity,
         ObjectLoopInKernel,
         EraLiteral,
         FloatEquality,

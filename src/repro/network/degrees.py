@@ -14,9 +14,8 @@ import numpy as np
 
 from ..core.columns import month_from_index
 from ..core.dataset import MarketDataset
-from ..core.kernels import count_dispatch
 from ..core.entities import Contract
-from ..core.timeutils import Month, month_of
+from ..core.timeutils import Month
 from .graph import DEGREE_KINDS, ContractGraph
 
 __all__ = [
@@ -106,20 +105,15 @@ def _histogram_of(degrees: np.ndarray) -> Dict[int, int]:
 
 
 def dataset_degree_distributions(
-    dataset: MarketDataset, completed_only: bool = False, fast: bool = True
+    dataset: MarketDataset, completed_only: bool = False
 ) -> DegreeDistributions:
     """Figure 7 over a whole dataset (created or completed contracts).
 
-    ``fast`` derives distinct-counterparty degrees from the columnar
-    store: edges are deduplicated with one ``np.unique`` over packed
-    endpoint keys and degrees read off with ``np.bincount`` — no Python
-    per-contract loop and no set-of-sets adjacency.
+    Distinct-counterparty degrees come from the columnar store: edges
+    are deduplicated with one ``np.unique`` over packed endpoint keys
+    and degrees read off with ``np.bincount`` — no Python per-contract
+    loop and no set-of-sets adjacency.
     """
-    count_dispatch(fast)
-    if not fast:
-        contracts = dataset.completed() if completed_only else dataset.contracts
-        return degree_distributions(contracts)
-
     store = dataset.columns()
     mask = store.is_complete if completed_only else None
     maker, taker, bidirectional = _edge_arrays(store, mask)
@@ -183,95 +177,86 @@ def _first_months(
     return unique, first
 
 
+def _replay_degree_growth(
+    raw: Tuple[np.ndarray, np.ndarray],
+    directed: Tuple[np.ndarray, np.ndarray],
+    node_first: np.ndarray,
+    months: range,
+    n_users: int,
+) -> List[DegreeGrowthPoint]:
+    """Replay the cumulative network month by month (Figure 8's series).
+
+    ``raw`` and ``directed`` are :func:`_first_months` pairs of distinct
+    edge keys — undirected ``low * n_users + high``, directed ``src *
+    n_users + dst`` — and the month each first occurs; ``node_first``
+    holds the first month of every distinct node.  Each month in
+    ``months`` adds its new edges to running degree arrays with one
+    batched ``np.add.at`` update.
+    """
+    raw_keys, raw_first = raw
+    directed_keys, directed_first = directed
+    deg_raw = np.zeros(n_users, dtype=np.int64)
+    deg_in = np.zeros(n_users, dtype=np.int64)
+    deg_out = np.zeros(n_users, dtype=np.int64)
+    raw_sum = 0
+    present = 0
+    series: List[DegreeGrowthPoint] = []
+    for idx in months:
+        new_raw = raw_keys[raw_first == idx]
+        low, high = new_raw // n_users, new_raw % n_users
+        np.add.at(deg_raw, low, 1)
+        selfless = high != low
+        np.add.at(deg_raw, high[selfless], 1)
+        raw_sum += len(low) + int(selfless.sum())
+        new_directed = directed_keys[directed_first == idx]
+        np.add.at(deg_out, new_directed // n_users, 1)
+        np.add.at(deg_in, new_directed % n_users, 1)
+        present += int((node_first == idx).sum())
+        series.append(
+            DegreeGrowthPoint(
+                month=month_from_index(idx),
+                average_raw=raw_sum / present if present else 0.0,
+                max_raw=int(deg_raw.max()),
+                max_inbound=int(deg_in.max()),
+                max_outbound=int(deg_out.max()),
+            )
+        )
+    return series
+
+
 def degree_growth(
-    dataset: MarketDataset, completed_only: bool = False, fast: bool = True
+    dataset: MarketDataset, completed_only: bool = False
 ) -> List[DegreeGrowthPoint]:
     """Cumulative degree growth month by month (Figure 8).
 
-    The network at month *m* contains every qualifying contract created up
-    to the end of *m*.  ``fast`` precomputes the first month each distinct
-    edge and node appears, then replays ≤ the number of months as batched
-    ``np.add.at`` updates of running degree arrays; ``fast=False`` keeps
-    the incremental :class:`ContractGraph` reference.
+    The network at month *m* contains every qualifying contract created
+    up to the end of *m*.  The first month each distinct edge and node
+    appears is precomputed from the columnar store, then
+    :func:`_replay_degree_growth` replays the months.
     """
-    count_dispatch(fast)
-    if fast:
-        store = dataset.columns()
-        mask = store.is_complete if completed_only else None
-        maker, taker, bidirectional = _edge_arrays(store, mask)
-        if not len(maker):
-            return []
-        months = (store.month_idx[mask] if mask is not None else store.month_idx).astype(
-            np.int64
-        )
-        n_users = store.n_users
-        maker64, taker64 = maker.astype(np.int64), taker.astype(np.int64)
-
-        raw_keys, raw_first = _first_months(
+    store = dataset.columns()
+    mask = store.is_complete if completed_only else None
+    maker, taker, bidirectional = _edge_arrays(store, mask)
+    if not len(maker):
+        return []
+    months = (store.month_idx[mask] if mask is not None else store.month_idx).astype(
+        np.int64
+    )
+    n_users = store.n_users
+    maker64, taker64 = maker.astype(np.int64), taker.astype(np.int64)
+    src = np.concatenate([maker64, taker64[bidirectional]])
+    dst = np.concatenate([taker64, maker64[bidirectional]])
+    return _replay_degree_growth(
+        raw=_first_months(
             np.minimum(maker64, taker64) * n_users + np.maximum(maker64, taker64),
             months,
-        )
-        src_all = np.concatenate([maker64, taker64[bidirectional]])
-        dst_all = np.concatenate([taker64, maker64[bidirectional]])
-        directed_keys, directed_first = _first_months(
-            src_all * n_users + dst_all,
-            np.concatenate([months, months[bidirectional]]),
-        )
-        node_keys, node_first = _first_months(
+        ),
+        directed=_first_months(
+            src * n_users + dst, np.concatenate([months, months[bidirectional]])
+        ),
+        node_first=_first_months(
             np.concatenate([maker64, taker64]), np.concatenate([months, months])
-        )
-
-        deg_raw = np.zeros(n_users, dtype=np.int64)
-        deg_in = np.zeros(n_users, dtype=np.int64)
-        deg_out = np.zeros(n_users, dtype=np.int64)
-        raw_sum = 0
-        present = 0
-        series: List[DegreeGrowthPoint] = []
-        for idx in range(int(months.min()), int(months.max()) + 1):
-            new_raw = raw_keys[raw_first == idx]
-            low, high = new_raw // n_users, new_raw % n_users
-            np.add.at(deg_raw, low, 1)
-            selfless = high != low
-            np.add.at(deg_raw, high[selfless], 1)
-            raw_sum += len(low) + int(selfless.sum())
-            new_directed = directed_keys[directed_first == idx]
-            np.add.at(deg_out, new_directed // n_users, 1)
-            np.add.at(deg_in, new_directed % n_users, 1)
-            present += int((node_first == idx).sum())
-            series.append(
-                DegreeGrowthPoint(
-                    month=month_from_index(idx),
-                    average_raw=raw_sum / present if present else 0.0,
-                    max_raw=int(deg_raw.max()),
-                    max_inbound=int(deg_in.max()),
-                    max_outbound=int(deg_out.max()),
-                )
-            )
-        return series
-
-    contracts = dataset.completed() if completed_only else dataset.contracts
-    if not contracts:
-        return []
-    by_month: Dict[Month, List[Contract]] = {}
-    for contract in contracts:
-        by_month.setdefault(month_of(contract.created_at), []).append(contract)
-
-    months = sorted(by_month)
-    graph = ContractGraph([])
-    series = []
-    first, last = months[0], months[-1]
-    current = first
-    while current <= last:
-        for contract in by_month.get(current, ()):  # grow incrementally
-            graph.add_contract(contract)
-        series.append(
-            DegreeGrowthPoint(
-                month=current,
-                average_raw=graph.average_degree("raw"),
-                max_raw=graph.max_degree("raw"),
-                max_inbound=graph.max_degree("inbound"),
-                max_outbound=graph.max_degree("outbound"),
-            )
-        )
-        current = current.next()
-    return series
+        )[1],
+        months=range(int(months.min()), int(months.max()) + 1),
+        n_users=n_users,
+    )

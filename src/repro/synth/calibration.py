@@ -21,7 +21,7 @@ from ..core.dataset import MarketDataset
 from ..core.entities import ContractStatus, ContractType
 from ..core.eras import COVID19, STABLE
 from ..core.timeutils import Month, month_of
-from ..network.degrees import degree_distributions
+from ..network.degrees import dataset_degree_distributions
 
 __all__ = ["CalibrationCheck", "CalibrationReport", "score_calibration"]
 
@@ -144,7 +144,7 @@ def score_calibration(dataset: MarketDataset) -> CalibrationReport:
     )
     ordering("post-peak decline", month_count(month_of(COVID19.end)) < apr20)
 
-    degrees = degree_distributions(dataset.contracts)
+    degrees = dataset_degree_distributions(dataset)
     ordering(
         "inbound hubs exceed outbound hubs (3x)",
         degrees.max_degree["inbound"] > 3 * max(1, degrees.max_degree["outbound"]),

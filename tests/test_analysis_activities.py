@@ -47,7 +47,7 @@ class TestTradingActivities:
 
     def test_restricted_contract_list(self, dataset):
         subset = dataset.completed_public()[:50]
-        table = top_trading_activities(dataset, contracts=subset)
+        table = top_trading_activities(dataset.subset(subset))
         assert table.n_contracts == 50
 
 

@@ -43,7 +43,7 @@ class TestContractFunnel:
         assert any("complete" in line for line in lines)
 
     def test_empty_subset(self, dataset):
-        funnel = contract_funnel(dataset, [])
+        funnel = contract_funnel(dataset.subset([]))
         assert funnel.total_proposed == 0
         assert funnel.acceptance_rate == pytest.approx(0.0)
 

@@ -135,99 +135,22 @@ class TestWallClockInLibrary:
 
 
 # --------------------------------------------------------------------- #
-# R003 fast-path-parity
-# --------------------------------------------------------------------- #
-
-FAST_FUNC = (
-    "def era_profile(dataset, fast=True):\n"
-    "    return 1 if fast else 2\n"
-)
-
-
-class TestFastPathParity:
-    def test_flags_untested_fast_function(self):
-        findings = lint_one(
-            FAST_FUNC,
-            **{TESTS: "def test_nothing():\n    assert True\n"},
-        )
-        assert rule_ids(findings) == ["R003"]
-        assert "era_profile" in findings[0].message
-
-    def test_parity_reference_satisfies(self):
-        findings = lint_one(
-            FAST_FUNC,
-            **{
-                TESTS: (
-                    "from repro.example import era_profile\n"
-                    "def test_parity(ds):\n"
-                    "    assert era_profile(ds, fast=True) == "
-                    "era_profile(ds, fast=False)\n"
-                )
-            },
-        )
-        assert findings == []
-
-    def test_method_reference_satisfies(self):
-        findings = lint_one(
-            "class Dataset:\n"
-            "    def summary_table(self, fast=True):\n"
-            "        return {}\n",
-            **{
-                TESTS: (
-                    "def test_parity(ds):\n"
-                    "    assert ds.summary_table(fast=True) == "
-                    "ds.summary_table(fast=False)\n"
-                )
-            },
-        )
-        assert findings == []
-
-    def test_fast_true_only_is_not_parity(self):
-        findings = lint_one(
-            FAST_FUNC,
-            **{
-                TESTS: (
-                    "from repro.example import era_profile\n"
-                    "def test_smoke(ds):\n"
-                    "    assert era_profile(ds, fast=True)\n"
-                )
-            },
-        )
-        assert rule_ids(findings) == ["R003"]
-
-    def test_private_helpers_exempt(self):
-        findings = lint_one(
-            "def _inner(dataset, fast=True):\n    return fast\n",
-            **{TESTS: "def test_nothing():\n    assert True\n"},
-        )
-        assert findings == []
-
-
-# --------------------------------------------------------------------- #
 # R004 object-loop-in-kernel
 # --------------------------------------------------------------------- #
 
 
 class TestObjectLoopInKernel:
-    def test_flags_loop_in_named_kernel(self):
+    def test_flags_loop_in_analysis_kernel_module(self):
         findings = lint_one(
-            "def growth_columnar(ds):\n"
+            "def growth(ds):\n"
             "    total = 0\n"
             "    for contract in ds.contracts:\n"
             "        total += 1\n"
-            "    return total\n"
+            "    return total\n",
+            path="src/repro/analysis/monthly.py",
         )
         assert rule_ids(findings) == ["R004"]
         assert ".contracts" in findings[0].message
-
-    def test_flags_comprehension_in_decorated_kernel(self):
-        findings = lint_one(
-            "from repro.core.columns import columnar_kernel\n"
-            "@columnar_kernel\n"
-            "def post_counts(ds):\n"
-            "    return [p.author_id for p in ds.posts]\n"
-        )
-        assert rule_ids(findings) == ["R004"]
 
     def test_allows_loop_in_plain_function(self):
         findings = lint_one(
@@ -258,8 +181,9 @@ class TestObjectLoopInKernel:
     def test_allows_array_code_in_kernel(self):
         findings = lint_one(
             "import numpy as np\n"
-            "def growth_columnar(store):\n"
-            "    return np.bincount(store.month_idx[store.month_idx >= 0])\n"
+            "def growth(store):\n"
+            "    return np.bincount(store.month_idx[store.month_idx >= 0])\n",
+            path="src/repro/analysis/monthly.py",
         )
         assert findings == []
 
@@ -531,8 +455,8 @@ class TestFullStoreMaterialize:
 class TestRegistry:
     def test_all_rules_registered(self):
         assert sorted(RULES) == [
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
-            "R009", "R010", "R011", "R012", "R013", "R014",
+            "R001", "R002", "R004", "R005", "R006", "R007", "R008", "R009",
+            "R010", "R011", "R012", "R013", "R014",
         ]
 
     def test_every_rule_documented(self):
@@ -542,7 +466,7 @@ class TestRegistry:
             assert rule_cls().name
 
     def test_rule_by_id_case_insensitive(self):
-        assert rule_by_id("r003").id == "R003"
+        assert rule_by_id("r004").id == "R004"
         with pytest.raises(KeyError):
             rule_by_id("R999")
 
@@ -577,11 +501,9 @@ VIOLATIONS = {
     "R001": ("src/repro/v1.py",
              DOC + "import numpy as np\nx = np.random.rand(3)\n"),
     "R002": ("src/repro/v2.py", DOC + "import time\nstamp = time.time()\n"),
-    "R003": ("src/repro/v3.py",
-             DOC + "def profile(ds, fast=True):\n    return fast\n"),
     "R004": (
-        "src/repro/v4.py",
-        DOC + "def tally_columnar(ds):\n"
+        "src/repro/analysis/monthly.py",
+        DOC + "def tally(ds):\n"
               "    return sum(1 for c in ds.contracts)\n",
     ),
     "R005": (
@@ -679,9 +601,9 @@ class TestCli:
         assert again.findings == [] and len(again.suppressed) == 1
 
     def test_explain_known_rule(self, capsys):
-        assert main(["lint", "--explain", "R003"]) == 0
+        assert main(["lint", "--explain", "R004"]) == 0
         out = capsys.readouterr().out
-        assert "fast-path-parity" in out and "fast=False" in out
+        assert "object-loop-in-kernel" in out and "kernel module" in out
 
     def test_explain_unknown_rule(self, capsys):
         assert main(["lint", "--explain", "R999"]) == 2
