@@ -13,17 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..core.dataset import MarketDataset
 from ..core.timeutils import Month
-from ..text.taxonomy import (
-    CATEGORIES,
-    CATEGORY_LABELS,
-    UNCATEGORISED,
-    ActivityCategorizer,
+from ..text.taxonomy import CATEGORIES, CATEGORY_LABELS, UNCATEGORISED
+from .textfeatures import (
+    CONCRETE_CATEGORIES,
+    category_bits,
+    side_tallies,
+    text_features,
+    top_monthly,
 )
-from .monthly import _month_counts
 
 __all__ = [
     "ActivityRow",
@@ -89,106 +88,43 @@ class ActivityTable:
         return row.both_contracts / self.all_row.both_contracts
 
 
-#: Bit index reserved for the uncategorised marker in activity bitmasks.
-_UNCAT_BIT = len(CATEGORIES)
-#: Mask selecting only the concrete (non-uncategorised) category bits.
-_CAT_BITS = np.uint32((1 << _UNCAT_BIT) - 1)
-_BIT_OF = {key: i for i, key in enumerate(CATEGORIES)}
-_BIT_OF[UNCATEGORISED] = _UNCAT_BIT
-
-
-def _mask_of(categories: Set[str]) -> int:
-    mask = 0
-    for key in categories:
-        mask |= 1 << _BIT_OF[key]
-    return mask
-
-
-def _activity_masks(
-    dataset: MarketDataset,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Category bitmasks for every completed public contract, memoized.
-
-    Returns ``(rows, maker, taker, sides)``: the store row indexes of the
-    completed-public subset plus one uint32 bitmask per row for the maker
-    obligation, the taker obligation, and the combined (both-sides) text.
-    The regex pass is the irreducibly per-text part of §4.3, so it runs
-    once per dataset and is cached on ``ColumnStore.derived`` — Table 3,
-    Figure 9, and repeat calls all reuse it.
-    """
-    store = dataset.columns()
-    cached = store.derived.get("activity_masks")
-    if cached is not None:
-        return cached
-    categorizer = ActivityCategorizer()
-    rows = np.flatnonzero(store.completed_public_mask())
-    maker = np.zeros(len(rows), dtype=np.uint32)
-    taker = np.zeros(len(rows), dtype=np.uint32)
-    sides = np.zeros(len(rows), dtype=np.uint32)
-    contracts = dataset.contracts
-    for i, row in enumerate(rows.tolist()):
-        contract = contracts[row]
-        maker[i] = _mask_of(categorizer.categorize(contract.maker_obligation))
-        taker[i] = _mask_of(categorizer.categorize(contract.taker_obligation))
-        sides[i] = _mask_of(
-            categorizer.categorize_sides(
-                contract.maker_obligation, contract.taker_obligation
-            )
-        )
-    store.derived["activity_masks"] = (rows, maker, taker, sides)
-    return rows, maker, taker, sides
-
-
-def _id_set(ids: np.ndarray) -> Set[int]:
-    return set(ids.tolist())
-
-
 def top_trading_activities(dataset: MarketDataset) -> ActivityTable:
     """Categorise completed public contracts into activity buckets.
 
-    The per-text regex pass is memoized on the columnar store and all
-    counting happens on bitmask arrays.  Restrict the contracts analysed
-    (for per-era tables) with ``dataset.subset(contracts)``.
+    The per-text regex pass is memoized on the columnar store
+    (:func:`~repro.analysis.textfeatures.text_features`) and all counting
+    happens on bitmask arrays.  Restrict the contracts analysed (for
+    per-era tables) with ``dataset.subset(contracts)``.
     """
     store = dataset.columns()
-    rows, maker_m, taker_m, _ = _activity_masks(dataset)
-    maker_ids = store.maker_id[rows]
-    taker_ids = store.taker_id[rows]
-    both_m = maker_m | taker_m
+    features = text_features(dataset)
+    maker_ids = store.maker_id[features.rows]
+    taker_ids = store.taker_id[features.rows]
+    maker_m = features.maker_categories
+    taker_m = features.taker_categories
     table_rows: Dict[str, ActivityRow] = {}
     for key in tuple(CATEGORIES) + (UNCATEGORISED,):
-        bit = np.uint32(1 << _BIT_OF[key])
-        m_sel = (maker_m & bit) != 0
-        t_sel = (taker_m & bit) != 0
-        b_sel = (both_m & bit) != 0
+        bit = category_bits((key,))
         table_rows[key] = ActivityRow(
             key,
             CATEGORY_LABELS.get(key, key),
-            maker_contracts=int(m_sel.sum()),
-            maker_users=_id_set(np.unique(maker_ids[m_sel])),
-            taker_contracts=int(t_sel.sum()),
-            taker_users=_id_set(np.unique(taker_ids[t_sel])),
-            both_contracts=int(b_sel.sum()),
-            both_users=_id_set(
-                np.unique(np.concatenate([maker_ids[b_sel], taker_ids[b_sel]]))
+            *side_tallies(
+                (maker_m & bit) != 0, (taker_m & bit) != 0, maker_ids, taker_ids
             ),
         )
-    m_any = (maker_m & _CAT_BITS) != 0
-    t_any = (taker_m & _CAT_BITS) != 0
-    b_any = (both_m & _CAT_BITS) != 0
     all_row = ActivityRow(
         "all",
         "All Trading Activities",
-        maker_contracts=int(m_any.sum()),
-        maker_users=_id_set(np.unique(maker_ids[m_any])),
-        taker_contracts=int(t_any.sum()),
-        taker_users=_id_set(np.unique(taker_ids[t_any])),
-        both_contracts=int(b_any.sum()),
-        both_users=_id_set(
-            np.unique(np.concatenate([maker_ids[b_any], taker_ids[b_any]]))
+        *side_tallies(
+            (maker_m & CONCRETE_CATEGORIES) != 0,
+            (taker_m & CONCRETE_CATEGORIES) != 0,
+            maker_ids,
+            taker_ids,
         ),
     )
-    return ActivityTable(rows=table_rows, all_row=all_row, n_contracts=len(rows))
+    return ActivityTable(
+        rows=table_rows, all_row=all_row, n_contracts=len(features.rows)
+    )
 
 
 def product_evolution(
@@ -204,20 +140,9 @@ def product_evolution(
     monthly series.
     """
     store = dataset.columns()
-    rows, _, _, sides_m = _activity_masks(dataset)
-    months = store.month_idx[rows]
+    features = text_features(dataset)
     excluded = set(exclude) | {UNCATEGORISED}
-    monthly: Dict[str, Dict[Month, int]] = {}
-    totals: Dict[str, int] = {}
-    for key in CATEGORIES:
-        if key in excluded:
-            continue
-        sel = (sides_m & np.uint32(1 << _BIT_OF[key])) != 0
-        total = int(sel.sum())
-        if not total:
-            continue
-        totals[key] = total
-        monthly[key] = _month_counts(months[sel])
-    # Ties broken by category key so the pick is hash-seed independent.
-    winners = sorted(totals, key=lambda c: (-totals[c], c))[:top_n]
-    return {category: monthly[category] for category in winners}
+    bits = {key: category_bits((key,)) for key in CATEGORIES if key not in excluded}
+    return top_monthly(
+        store.month_idx[features.rows], features.joined_categories, bits, top_n
+    )

@@ -16,15 +16,15 @@ This module makes that claim testable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.stats import chi2_contingency
 
 from ..core.dataset import MarketDataset
-from ..core.entities import Contract, ContractType
+from ..core.entities import ContractType
 from ..core.eras import COVID19, ERAS, STABLE, Era
-from ..text.taxonomy import UNCATEGORISED, ActivityCategorizer
+from ..stats.contingency import chi2_contingency
+from .textfeatures import category_keys, text_features
 
 __all__ = [
     "EraProfile",
@@ -94,7 +94,6 @@ def composition_distance(
     era_a: Era,
     era_b: Era,
     by: str = "type",
-    categorizer: Optional[ActivityCategorizer] = None,
 ) -> float:
     """Total-variation distance between two eras' activity composition.
 
@@ -108,14 +107,14 @@ def composition_distance(
             for contract in contracts:
                 counts[contract.ctype.name] = counts.get(contract.ctype.name, 0) + 1
         elif by == "category":
-            cat = categorizer or ActivityCategorizer()
+            features = text_features(dataset)
+            joined = features.joined_categories
             counts = {}
             for contract in contracts:
                 if not (contract.is_complete and contract.is_public):
                     continue
-                for key in cat.categorize_sides(
-                    contract.maker_obligation, contract.taker_obligation
-                ) - {UNCATEGORISED}:
+                i = features.position[contract.contract_id]
+                for key in category_keys(int(joined[i])):
                     counts[key] = counts.get(key, 0) + 1
         else:
             raise ValueError("by must be 'type' or 'category'")
@@ -190,7 +189,7 @@ def stimulus_test(
     keep = matrix.sum(axis=0) > 0
     matrix = matrix[:, keep]
     if matrix.shape[1] >= 2 and matrix.sum() > 0:
-        chi2, p_value = chi2_contingency(matrix)[:2]
+        chi2, p_value = chi2_contingency(matrix)
     else:
         chi2, p_value = 0.0, 1.0
 

@@ -8,13 +8,23 @@ side with unique users, exactly like the activity table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set
+
+import numpy as np
 
 from ..core.dataset import MarketDataset
 from ..core.entities import Contract
-from ..core.timeutils import Month, month_of
-from ..text.payments import PAYMENT_LABELS, PAYMENT_METHODS, PaymentExtractor
-from ..text.taxonomy import PAYMENT_RELATED_CATEGORIES, ActivityCategorizer
+from ..core.timeutils import Month
+from ..text.payments import PAYMENT_LABELS, PAYMENT_METHODS
+from ..text.taxonomy import PAYMENT_RELATED_CATEGORIES
+from .textfeatures import (
+    TextFeatures,
+    category_bits,
+    method_bits,
+    side_tallies,
+    text_features,
+    top_monthly,
+)
 
 __all__ = [
     "PaymentRow",
@@ -64,88 +74,54 @@ class PaymentTable:
         return row.both_contracts / self.all_row.both_contracts
 
 
-def payment_related_contracts(
-    dataset: MarketDataset,
-    categorizer: Optional[ActivityCategorizer] = None,
-    contracts: Optional[Sequence[Contract]] = None,
-) -> List[Contract]:
+def _payment_related(features: TextFeatures) -> np.ndarray:
+    """Mask over the feature rows of payment-related contracts."""
+    return (features.joined_categories & category_bits(PAYMENT_RELATED_CATEGORIES)) != 0
+
+
+def payment_related_contracts(dataset: MarketDataset) -> List[Contract]:
     """Completed public contracts in currency-exchange/payments/giftcard."""
-    categorizer = categorizer or ActivityCategorizer()
-    subset = list(contracts) if contracts is not None else dataset.completed_public()
-    selected: List[Contract] = []
-    for contract in subset:
-        categories = categorizer.categorize_sides(
-            contract.maker_obligation, contract.taker_obligation
-        )
-        if categories & PAYMENT_RELATED_CATEGORIES:
-            selected.append(contract)
-    return selected
+    features = text_features(dataset)
+    contracts = dataset.contracts
+    return [contracts[row] for row in features.rows[_payment_related(features)].tolist()]
 
 
-def top_payment_methods(
-    dataset: MarketDataset,
-    categorizer: Optional[ActivityCategorizer] = None,
-    extractor: Optional[PaymentExtractor] = None,
-    contracts: Optional[Sequence[Contract]] = None,
-) -> PaymentTable:
+def top_payment_methods(dataset: MarketDataset) -> PaymentTable:
     """Table 4: payment methods in completed public payment-related deals."""
-    extractor = extractor or PaymentExtractor()
-    selected = payment_related_contracts(dataset, categorizer, contracts)
-
-    rows: Dict[str, PaymentRow] = {
-        key: PaymentRow(key, PAYMENT_LABELS.get(key, key)) for key in PAYMENT_METHODS
-    }
-    all_row = PaymentRow("all", "All Methods")
-
-    for contract in selected:
-        maker_methods = extractor.extract(contract.maker_obligation)
-        taker_methods = extractor.extract(contract.taker_obligation)
-        both_methods = maker_methods | taker_methods
-        for method in maker_methods:
-            rows[method].maker_contracts += 1
-            rows[method].maker_users.add(contract.maker_id)
-        for method in taker_methods:
-            rows[method].taker_contracts += 1
-            rows[method].taker_users.add(contract.taker_id)
-        for method in both_methods:
-            rows[method].both_contracts += 1
-            rows[method].both_users.add(contract.maker_id)
-            rows[method].both_users.add(contract.taker_id)
-        if maker_methods:
-            all_row.maker_contracts += 1
-            all_row.maker_users.add(contract.maker_id)
-        if taker_methods:
-            all_row.taker_contracts += 1
-            all_row.taker_users.add(contract.taker_id)
-        if both_methods:
-            all_row.both_contracts += 1
-            all_row.both_users.add(contract.maker_id)
-            all_row.both_users.add(contract.taker_id)
-
-    return PaymentTable(rows=rows, all_row=all_row, n_contracts=len(selected))
+    store = dataset.columns()
+    features = text_features(dataset)
+    related = _payment_related(features)
+    rows = features.rows[related]
+    maker_ids = store.maker_id[rows]
+    taker_ids = store.taker_id[rows]
+    maker_m = features.maker_methods[related]
+    taker_m = features.taker_methods[related]
+    table_rows: Dict[str, PaymentRow] = {}
+    for key in PAYMENT_METHODS:
+        bit = method_bits((key,))
+        table_rows[key] = PaymentRow(
+            key,
+            PAYMENT_LABELS.get(key, key),
+            *side_tallies(
+                (maker_m & bit) != 0, (taker_m & bit) != 0, maker_ids, taker_ids
+            ),
+        )
+    all_row = PaymentRow(
+        "all",
+        "All Methods",
+        *side_tallies(maker_m != 0, taker_m != 0, maker_ids, taker_ids),
+    )
+    return PaymentTable(rows=table_rows, all_row=all_row, n_contracts=len(rows))
 
 
 def payment_evolution(
-    dataset: MarketDataset,
-    categorizer: Optional[ActivityCategorizer] = None,
-    extractor: Optional[PaymentExtractor] = None,
-    top_n: int = 5,
+    dataset: MarketDataset, top_n: int = 5
 ) -> Dict[str, Dict[Month, int]]:
     """Figure 10: monthly completed contracts per top payment method."""
-    extractor = extractor or PaymentExtractor()
-    selected = payment_related_contracts(dataset, categorizer)
-
-    monthly: Dict[str, Dict[Month, int]] = {}
-    totals: Dict[str, int] = {}
-    for contract in selected:
-        methods = extractor.extract_sides(
-            contract.maker_obligation, contract.taker_obligation
-        )
-        month = month_of(contract.created_at)
-        for method in methods:
-            monthly.setdefault(method, {})
-            monthly[method][month] = monthly[method].get(month, 0) + 1
-            totals[method] = totals.get(method, 0) + 1
-
-    winners = sorted(totals, key=lambda m: (-totals[m], m))[:top_n]
-    return {method: dict(sorted(monthly[method].items())) for method in winners}
+    store = dataset.columns()
+    features = text_features(dataset)
+    related = _payment_related(features)
+    months = store.month_idx[features.rows[related]]
+    methods = features.maker_methods[related] | features.taker_methods[related]
+    bits = {key: method_bits((key,)) for key in PAYMENT_METHODS}
+    return top_monthly(months, methods, bits, top_n)

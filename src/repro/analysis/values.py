@@ -16,8 +16,8 @@ The pipeline follows the paper step by step:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..blockchain.chain import Ledger
 from ..blockchain.rates import RateOracle
@@ -31,9 +31,11 @@ from ..core.dataset import MarketDataset
 from ..core.entities import Contract, ContractType
 from ..core.timeutils import Month, month_of
 from ..stats.descriptive import top_share
-from ..text.payments import PaymentExtractor
-from ..text.taxonomy import UNCATEGORISED, ActivityCategorizer
-from ..text.values import ContractValue, estimate_contract_value
+from ..text.payments import PAYMENT_LABELS
+from ..text.taxonomy import CATEGORY_LABELS
+from ..text.values import ContractValue, contract_value
+from .activities import EVOLUTION_EXCLUDED
+from .textfeatures import category_keys, method_keys, text_features
 
 __all__ = [
     "ValuedContract",
@@ -82,11 +84,16 @@ def estimate_dataset_values(
     ledger: Optional[Ledger] = None,
 ) -> Dict[int, ValuedContract]:
     """Estimate (and manually check) values for completed public deals."""
+    features = text_features(dataset)
+    contracts = dataset.contracts
     result: Dict[int, ValuedContract] = {}
-    for contract in dataset.contracts:
-        if not contract.is_complete or not contract.is_public or not contract.is_economic:
+    for i, row in enumerate(features.rows.tolist()):
+        contract = contracts[row]
+        if not contract.is_economic:
             continue
-        raw = estimate_contract_value(contract, rates)
+        raw = contract_value(
+            contract, features.maker_values[i], features.taker_values[i], rates
+        )
         if raw is None or raw.usd <= 0:
             continue
         corrected = raw.usd
@@ -180,8 +187,6 @@ def value_tables(
     dataset: MarketDataset,
     rates: RateOracle,
     ledger: Optional[Ledger] = None,
-    categorizer: Optional[ActivityCategorizer] = None,
-    extractor: Optional[PaymentExtractor] = None,
     top_n: int = 10,
     valued: Optional[Dict[int, ValuedContract]] = None,
 ) -> Tuple[List[Tuple[str, float, float, float]], List[Tuple[str, float, float, float]]]:
@@ -191,10 +196,12 @@ def value_tables(
     sorted by total, the paper's naive per-category sums (a contract in
     two categories contributes to both).
     """
-    categorizer = categorizer or ActivityCategorizer()
-    extractor = extractor or PaymentExtractor()
     if valued is None:
         valued = estimate_dataset_values(dataset, rates, ledger)
+    features = text_features(dataset)
+    joined = features.joined_categories.tolist()
+    maker_methods = features.maker_methods.tolist()
+    taker_methods = features.taker_methods.tolist()
 
     activity_maker: Dict[str, float] = {}
     activity_taker: Dict[str, float] = {}
@@ -202,18 +209,13 @@ def value_tables(
     method_taker: Dict[str, float] = {}
 
     for v in valued.values():
-        contract = v.contract
-        categories = categorizer.categorize_sides(
-            contract.maker_obligation, contract.taker_obligation
-        ) - {UNCATEGORISED}
-        for category in categories:
+        i = features.position[v.contract.contract_id]
+        for category in category_keys(joined[i]):
             activity_maker[category] = activity_maker.get(category, 0.0) + v.maker_usd
             activity_taker[category] = activity_taker.get(category, 0.0) + v.taker_usd
-        maker_methods = extractor.extract(contract.maker_obligation)
-        taker_methods = extractor.extract(contract.taker_obligation)
-        for method in maker_methods:
+        for method in method_keys(maker_methods[i]):
             method_maker[method] = method_maker.get(method, 0.0) + v.maker_usd
-        for method in taker_methods:
+        for method in method_keys(taker_methods[i]):
             method_taker[method] = method_taker.get(method, 0.0) + v.taker_usd
 
     def build(
@@ -227,9 +229,6 @@ def value_tables(
         rows.sort(key=lambda r: (-r[3], r[0]))
         return rows[:top_n]
 
-    from ..text.payments import PAYMENT_LABELS
-    from ..text.taxonomy import CATEGORY_LABELS
-
     return (
         build(activity_maker, activity_taker, CATEGORY_LABELS),
         build(method_maker, method_taker, PAYMENT_LABELS),
@@ -240,8 +239,6 @@ def value_evolution(
     dataset: MarketDataset,
     rates: RateOracle,
     ledger: Optional[Ledger] = None,
-    categorizer: Optional[ActivityCategorizer] = None,
-    extractor: Optional[PaymentExtractor] = None,
     top_n: int = 5,
     valued: Optional[Dict[int, ValuedContract]] = None,
 ) -> Dict[str, Dict[str, Dict[Month, float]]]:
@@ -251,10 +248,11 @@ def value_evolution(
     each mapping series label -> {month: usd}.  Products exclude currency
     exchange and payments, as in Figure 9/11.
     """
-    categorizer = categorizer or ActivityCategorizer()
-    extractor = extractor or PaymentExtractor()
     if valued is None:
         valued = estimate_dataset_values(dataset, rates, ledger)
+    features = text_features(dataset)
+    joined = features.joined_categories.tolist()
+    methods = (features.maker_methods | features.taker_methods).tolist()
 
     by_type: Dict[str, Dict[Month, float]] = {}
     by_method: Dict[str, Dict[Month, float]] = {}
@@ -262,29 +260,23 @@ def value_evolution(
     method_totals: Dict[str, float] = {}
     product_totals: Dict[str, float] = {}
 
-    from ..text.taxonomy import CATEGORY_LABELS
-    from ..text.payments import PAYMENT_LABELS
-
     for v in valued.values():
         contract = v.contract
+        i = features.position[contract.contract_id]
         month = month_of(contract.created_at)
         label = contract.ctype.name
         by_type.setdefault(label, {})
         by_type[label][month] = by_type[label].get(month, 0.0) + v.corrected_usd
 
-        methods = extractor.extract_sides(
-            contract.maker_obligation, contract.taker_obligation
-        )
-        for method in methods:
+        for method in method_keys(methods[i]):
             name = PAYMENT_LABELS.get(method, method)
             by_method.setdefault(name, {})
             by_method[name][month] = by_method[name].get(month, 0.0) + v.corrected_usd
             method_totals[name] = method_totals.get(name, 0.0) + v.corrected_usd
 
-        categories = categorizer.categorize_sides(
-            contract.maker_obligation, contract.taker_obligation
-        ) - {UNCATEGORISED, "currency_exchange", "payments"}
-        for category in categories:
+        for category in category_keys(joined[i]):
+            if category in EVOLUTION_EXCLUDED:
+                continue
             name = CATEGORY_LABELS.get(category, category)
             by_product.setdefault(name, {})
             by_product[name][month] = by_product[name].get(month, 0.0) + v.corrected_usd

@@ -30,8 +30,8 @@ field                     dtype    meaning
 
 Ratings (``store.ratings``) and posts (``store.posts``) load lazily the
 first time an analysis touches them.  ``store.derived`` is a memo dict for
-cross-module derived columns (e.g. the activity-category bitmasks built by
-:mod:`repro.analysis.activities`).
+cross-module derived columns (e.g. the obligation-text features built by
+:mod:`repro.analysis.textfeatures`).
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ class ColumnStore:
         self._ratings: Optional[RatingColumns] = None
         self._posts: Optional[PostColumns] = None
         self._contract_row: Optional[Dict[int, int]] = None
-        #: Cross-module memo for derived columns (activity bitmasks, …).
+        #: Cross-module memo for derived columns (text features, …).
         self.derived: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ #

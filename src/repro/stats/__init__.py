@@ -23,6 +23,7 @@ __all__ = [
     "herfindahl",
     "lorenz_curve",
     "top_share",
+    "chi2_contingency",
     "HurdleResult",
     "fit_hurdle",
     "aic",
@@ -68,6 +69,7 @@ if TYPE_CHECKING:
         lorenz_curve,
         top_share,
     )
+    from .contingency import chi2_contingency
     from .hurdle import HurdleResult, fit_hurdle
     from .information import aic, bic, mcfadden_r2
     from .kmeans import KMeansResult, choose_k, kmeans, silhouette_score
@@ -93,6 +95,7 @@ else:
             "concentration_curve", "gini", "herfindahl", "lorenz_curve",
             "top_share",
         ),
+        "contingency": ("chi2_contingency",),
         "hurdle": ("HurdleResult", "fit_hurdle"),
         "information": ("aic", "bic", "mcfadden_r2"),
         "kmeans": ("KMeansResult", "choose_k", "kmeans", "silhouette_score"),

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import norm
+from scipy.special import gammaln, ndtr
 
 from .information import aic, bic, mcfadden_r2
 
@@ -58,7 +57,8 @@ class PoissonResult:
 
     @property
     def p_values(self) -> np.ndarray:
-        return 2.0 * norm.sf(np.abs(self.z_values))
+        # ndtr(-x) is the normal survival function, as scipy.stats' norm.sf.
+        return 2.0 * ndtr(-np.abs(self.z_values))
 
     @property
     def aic(self) -> float:

@@ -20,8 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, gammaln
-from scipy.stats import norm
+from scipy.special import expit, gammaln, ndtr
 
 from .information import aic, bic, mcfadden_r2
 from .poisson_glm import add_intercept
@@ -60,49 +59,64 @@ def _zip_loglik_terms(
     return terms
 
 
-def _negloglik_and_grad(
-    params: np.ndarray,
-    X: np.ndarray,
-    Z: np.ndarray,
-    y: np.ndarray,
-) -> Tuple[float, np.ndarray]:
-    p = X.shape[1]
-    beta, gamma = params[:p], params[p:]
-    eta = np.clip(X @ beta, -_MAX_ETA, _MAX_ETA)
-    zeta = np.clip(Z @ gamma, -_MAX_ETA, _MAX_ETA)
-    mu = np.exp(eta)
-    pi = expit(zeta)
+class _Objective:
+    """Negative log-likelihood and its gradient for one fit's data.
 
-    terms = _zip_loglik_terms(y, eta, zeta)
-    loglik = float(terms.sum())
+    The zero mask and ``log(y!)`` depend only on ``y``, so they are
+    computed once per fit rather than on every L-BFGS evaluation; each
+    evaluation computes ``log pi`` and ``log(1 - pi)`` once and shares
+    them between the likelihood and the gradient.
+    """
 
-    zero_mask = y == 0
-    # Weight of the Poisson branch for observed zeros.
-    log_pi = -np.logaddexp(0.0, -zeta)
-    log_one_minus_pi = -np.logaddexp(0.0, zeta)
-    with np.errstate(over="ignore"):
-        ll0 = np.logaddexp(log_pi, log_one_minus_pi - mu)
-    w_pois = np.exp(log_one_minus_pi - mu - ll0)  # in (0, 1]
+    def __init__(self, X: np.ndarray, Z: np.ndarray, y: np.ndarray) -> None:
+        self.X, self.Z = X, Z
+        self.p = X.shape[1]
+        self.y = y
+        self.zero = y == 0
+        self.pos = ~self.zero
+        self.y_pos = y[self.pos]
+        self.log_y_factorial = gammaln(self.y_pos + 1.0)
 
-    grad_eta = np.where(zero_mask, -w_pois * mu, y - mu)
-    # d log L0 / d zeta = pi (1 - pi) (1 - e^{-mu}) / L0 for observed zeros,
-    # and d log(1 - pi) / d zeta = -pi for positive counts.
-    p0 = np.exp(-mu)
-    with np.errstate(over="ignore", under="ignore"):
-        zero_grad = pi * (1.0 - pi) * (1.0 - p0) / np.maximum(np.exp(ll0), 1e-300)
-    grad_zeta = np.where(zero_mask, zero_grad, -pi)
-    grad_beta = X.T @ grad_eta
-    grad_gamma = Z.T @ grad_zeta
-    grad = np.concatenate([grad_beta, grad_gamma])
-    return -loglik, -grad
+    def __call__(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
+        beta, gamma = params[: self.p], params[self.p:]
+        eta = np.clip(self.X @ beta, -_MAX_ETA, _MAX_ETA)
+        zeta = np.clip(self.Z @ gamma, -_MAX_ETA, _MAX_ETA)
+        mu = np.exp(eta)
+        pi = expit(zeta)
+        log_pi = -np.logaddexp(0.0, -zeta)
+        log_one_minus_pi = -np.logaddexp(0.0, zeta)
+        with np.errstate(over="ignore"):
+            ll0 = np.logaddexp(log_pi, log_one_minus_pi - mu)
+
+        # Bit-identical to _zip_loglik_terms(y, eta, zeta), which Vuong uses.
+        pos = self.pos
+        terms = np.empty_like(eta)
+        terms[self.zero] = ll0[self.zero]
+        terms[pos] = (
+            log_one_minus_pi[pos]
+            + self.y_pos * eta[pos]
+            - mu[pos]
+            - self.log_y_factorial
+        )
+        loglik = float(terms.sum())
+
+        # Weight of the Poisson branch for observed zeros.
+        w_pois = np.exp(log_one_minus_pi - mu - ll0)  # in (0, 1]
+        grad_eta = np.where(self.zero, -w_pois * mu, self.y - mu)
+        # d log L0 / d zeta = pi (1 - pi) (1 - e^{-mu}) / L0 for observed zeros,
+        # and d log(1 - pi) / d zeta = -pi for positive counts.
+        p0 = np.exp(-mu)
+        with np.errstate(over="ignore", under="ignore"):
+            zero_grad = pi * (1.0 - pi) * (1.0 - p0) / np.maximum(np.exp(ll0), 1e-300)
+        grad_zeta = np.where(self.zero, zero_grad, -pi)
+        grad_beta = self.X.T @ grad_eta
+        grad_gamma = self.Z.T @ grad_zeta
+        grad = np.concatenate([grad_beta, grad_gamma])
+        return -loglik, -grad
 
 
 def _numerical_hessian(
-    params: np.ndarray,
-    X: np.ndarray,
-    Z: np.ndarray,
-    y: np.ndarray,
-    step: float = 1e-5,
+    objective: _Objective, params: np.ndarray, step: float = 1e-5
 ) -> np.ndarray:
     """Central finite differences of the analytic gradient."""
     k = len(params)
@@ -113,8 +127,8 @@ def _numerical_hessian(
         plus[i] += h
         minus = params.copy()
         minus[i] -= h
-        _, grad_plus = _negloglik_and_grad(plus, X, Z, y)
-        _, grad_minus = _negloglik_and_grad(minus, X, Z, y)
+        _, grad_plus = objective(plus)
+        _, grad_minus = objective(minus)
         hessian[i] = (grad_plus - grad_minus) / (2.0 * h)
     return 0.5 * (hessian + hessian.T)
 
@@ -151,11 +165,12 @@ class ZIPResult:
 
     @property
     def count_p(self) -> np.ndarray:
-        return 2.0 * norm.sf(np.abs(self.count_z))
+        # ndtr(-x) is the normal survival function, as scipy.stats' norm.sf.
+        return 2.0 * ndtr(-np.abs(self.count_z))
 
     @property
     def zero_p(self) -> np.ndarray:
-        return 2.0 * norm.sf(np.abs(self.zero_z))
+        return 2.0 * ndtr(-np.abs(self.zero_z))
 
     @property
     def n_params(self) -> int:
@@ -208,9 +223,8 @@ def _fit_raw(
     # Bounds (in scaled space) keep coefficients finite under separation,
     # e.g. when no always-zero user has a nonzero dispute count.
     result = minimize(
-        _negloglik_and_grad,
+        _Objective(Xs, Zs, y),
         init,
-        args=(Xs, Zs, y),
         jac=True,
         method="L-BFGS-B",
         bounds=[(-30.0, 30.0)] * (p + q),
@@ -254,7 +268,7 @@ def fit_zip(
     design_z = add_intercept(Z)
     params, loglik, converged = _fit_raw(design_x, design_z, y)
 
-    hessian = _numerical_hessian(params, design_x, design_z, y)
+    hessian = _numerical_hessian(_Objective(design_x, design_z, y), params)
     try:
         cov = np.linalg.inv(hessian)
     except np.linalg.LinAlgError:

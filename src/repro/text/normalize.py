@@ -14,7 +14,14 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List
 
-__all__ = ["normalize", "tokenize", "unify_synonyms", "STOPWORDS", "SYNONYMS"]
+__all__ = [
+    "normalize",
+    "normalize_unified",
+    "tokenize",
+    "unify_synonyms",
+    "STOPWORDS",
+    "SYNONYMS",
+]
 
 #: Small stop-word list tuned for obligation snippets, not full prose.
 STOPWORDS = frozenset(
@@ -62,7 +69,7 @@ _DIGITS = re.compile(r"\d+(?:\.\d+)?")
 
 # Longest synonyms first so "amazon gift card" wins over "gift card".
 _SYNONYM_PATTERNS = [
-    (re.compile(r"\b" + re.escape(key) + r"\b"), value)
+    (key, re.compile(r"\b" + re.escape(key) + r"\b"), value)
     for key, value in sorted(SYNONYMS.items(), key=lambda kv: -len(kv[0]))
 ]
 
@@ -70,8 +77,11 @@ _SYNONYM_PATTERNS = [
 def unify_synonyms(text: str) -> str:
     """Replace known slang/synonyms with canonical forms (input lowercased)."""
     result = text.lower()
-    for pattern, replacement in _SYNONYM_PATTERNS:
-        result = pattern.sub(replacement, result)
+    for key, pattern, replacement in _SYNONYM_PATTERNS:
+        # A pattern can only match where its key occurs as a substring,
+        # and the substring test is far cheaper than the regex.
+        if key in result:
+            result = pattern.sub(replacement, result)
     return result
 
 
@@ -82,8 +92,16 @@ def normalize(text: str, strip_digits: bool = False) -> str:
     digits, collapses whitespace and drops stop-words.  Digits are kept by
     default because value extraction runs on the same normalised text.
     """
-    result = unify_synonyms(text)
-    result = _DELIMITERS.sub(" ", result)
+    return normalize_unified(unify_synonyms(text), strip_digits)
+
+
+def normalize_unified(unified: str, strip_digits: bool = False) -> str:
+    """:func:`normalize` for text already through :func:`unify_synonyms`.
+
+    Lets one unified string serve both the value regexes (which need its
+    number punctuation) and the category and payment regexes.
+    """
+    result = _DELIMITERS.sub(" ", unified)
     if strip_digits:
         result = _DIGITS.sub(" ", result)
     tokens = [t for t in _WHITESPACE.split(result) if t and t not in STOPWORDS]

@@ -111,7 +111,10 @@ class PaymentExtractor:
 
     def extract(self, text: str) -> Set[str]:
         """Payment-method keys mentioned in ``text`` (empty set if none)."""
-        cleaned = normalize(text)
+        return self.extract_normalized(normalize(text))
+
+    def extract_normalized(self, cleaned: str) -> Set[str]:
+        """:meth:`extract` for text already through :func:`normalize`."""
         if not cleaned:
             return set()
         hits = {m.key for m in self.methods if m.matches(cleaned)}

@@ -171,7 +171,10 @@ class ActivityCategorizer:
         An empty or too-short text returns ``{UNCATEGORISED}``; a longer
         text that matches nothing also returns ``{UNCATEGORISED}``.
         """
-        cleaned = normalize(text)
+        return self.categorize_normalized(normalize(text))
+
+    def categorize_normalized(self, cleaned: str) -> Set[str]:
+        """:meth:`categorize` for text already through :func:`normalize`."""
         if len(cleaned) < self.min_length:
             return {UNCATEGORISED}
         matched = {c.key for c in self.categories if c.matches(cleaned)}

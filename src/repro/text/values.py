@@ -28,6 +28,8 @@ from .normalize import unify_synonyms
 __all__ = [
     "ExtractedValue",
     "ContractValue",
+    "contract_value",
+    "extract_unified_values",
     "extract_values",
     "estimate_contract_value",
     "estimate_values",
@@ -98,24 +100,28 @@ def extract_values(text: str) -> List[ExtractedValue]:
     """
     if not text:
         return []
-    cleaned = unify_synonyms(text)
+    return extract_unified_values(unify_synonyms(text))
+
+
+def extract_unified_values(unified: str) -> List[ExtractedValue]:
+    """:func:`extract_values` for text already through :func:`unify_synonyms`."""
     found: List[ExtractedValue] = []
     spans: List[Tuple[int, int]] = []
 
     def overlaps(start: int, end: int) -> bool:
         return any(not (end <= s or start >= e) for s, e in spans)
 
-    for match in _SYMBOL_AMOUNT.finditer(cleaned):
+    for match in _SYMBOL_AMOUNT.finditer(unified):
         amount = _to_float(match.group(2), match.group(3))
         found.append(ExtractedValue(amount, _SYMBOLS[match.group(1)]))
         spans.append(match.span())
-    for match in _WORD_AMOUNT.finditer(cleaned):
+    for match in _WORD_AMOUNT.finditer(unified):
         if overlaps(*match.span()):
             continue
         amount = _to_float(match.group(1), match.group(2))
         found.append(ExtractedValue(amount, _CURRENCY_WORDS[match.group(3)]))
         spans.append(match.span())
-    for match in _WORD_FIRST.finditer(cleaned):
+    for match in _WORD_FIRST.finditer(unified):
         if overlaps(*match.span()):
             continue
         amount = _to_float(match.group(2), match.group(3))
@@ -160,10 +166,27 @@ def estimate_contract_value(
     """
     if not contract.is_public:
         return None
+    return contract_value(
+        contract,
+        extract_values(contract.maker_obligation),
+        extract_values(contract.taker_obligation),
+        rates,
+    )
+
+
+def contract_value(
+    contract: Contract,
+    maker_values: Sequence[ExtractedValue],
+    taker_values: Sequence[ExtractedValue],
+    rates: RateOracle,
+) -> Optional[ContractValue]:
+    """:func:`estimate_contract_value` from each side's extracted values.
+
+    Applies the §4.5 rules and the transaction-day USD conversion; None
+    when neither side yields a value.
+    """
     when_dt = contract.completed_at or contract.created_at
     when = when_dt.date()
-    maker_values = extract_values(contract.maker_obligation)
-    taker_values = extract_values(contract.taker_obligation)
     maker_usd = _side_usd(maker_values, rates, when)
     taker_usd = _side_usd(taker_values, rates, when)
     if maker_usd is None and taker_usd is None:
@@ -172,7 +195,7 @@ def estimate_contract_value(
         usd = (maker_usd + taker_usd) / 2.0  # avoid double counting
     else:
         usd = maker_usd if maker_usd is not None else taker_usd  # equal-value rule
-    currencies = tuple(sorted({v.currency for v in maker_values + taker_values}))
+    currencies = tuple(sorted({v.currency for v in (*maker_values, *taker_values)}))
     return ContractValue(contract.contract_id, maker_usd, taker_usd, usd, currencies)
 
 

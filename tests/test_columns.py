@@ -5,13 +5,17 @@ The ``ref_*`` functions below walk the dataset's entity lists
 the slow, obviously correct formulation of each analysis.  Each columnar
 kernel in ``src/`` is checked against its reference on two seeds.
 Integer counts must match exactly; float curves are compared with
-``np.allclose``.
+``np.allclose``.  The text-driven analyses (Tables 3–5, Figures 9–11,
+§6's category drift) read the memoized obligation-text features instead
+of re-running the regexes per contract; they must match their
+per-contract references exactly, floats included.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from typing import Dict, List, Optional, Sequence, Set
+import sys
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from repro.analysis.centralisation import (
     concentration_curves,
     key_share_by_month,
 )
+from repro.analysis.eras_summary import composition_distance
 from repro.analysis.funnel import (
     ContractFunnel,
     _funnel_from_status_counts,
@@ -44,11 +49,32 @@ from repro.analysis.monthly import (
     type_proportions,
     visibility_share,
 )
+from repro.analysis.payments import (
+    PaymentRow,
+    PaymentTable,
+    payment_evolution,
+    payment_related_contracts,
+    top_payment_methods,
+)
 from repro.analysis.taxonomy import (
     TaxonomyTable,
     VisibilityTable,
     contract_taxonomy,
     visibility_table,
+)
+from repro.analysis.values import (
+    TYPO_CUTOFF_USD,
+    ValuedContract,
+    estimate_dataset_values,
+    value_evolution,
+    value_tables,
+)
+from repro.blockchain.chain import Ledger
+from repro.blockchain.rates import RateOracle
+from repro.blockchain.verify import (
+    HIGH_VALUE_THRESHOLD_USD,
+    Verdict,
+    verify_contract_value,
 )
 from repro.core.columns import (
     CTYPE_ORDER,
@@ -60,7 +86,7 @@ from repro.core.columns import (
 )
 from repro.core.dataset import MarketDataset, UserActivity
 from repro.core.entities import Contract, ContractStatus, ContractType
-from repro.core.eras import ERAS
+from repro.core.eras import ERAS, Era
 from repro.core.timeutils import Month, month_of
 from repro.network.degrees import (
     DegreeDistributions,
@@ -72,12 +98,15 @@ from repro.network.degrees import (
 from repro.network.graph import ContractGraph
 from repro.stats.descriptive import concentration_curve, gini
 from repro.synth import MarketSimulator, SimulationConfig
+from repro.text.payments import PAYMENT_LABELS, PAYMENT_METHODS, PaymentExtractor
 from repro.text.taxonomy import (
     CATEGORIES,
     CATEGORY_LABELS,
+    PAYMENT_RELATED_CATEGORIES,
     UNCATEGORISED,
     ActivityCategorizer,
 )
+from repro.text.values import estimate_contract_value
 
 
 # --------------------------------------------------------------------- #
@@ -507,6 +536,299 @@ def ref_product_evolution(
 
 
 # --------------------------------------------------------------------- #
+# entity-object references: repro.analysis.payments
+# --------------------------------------------------------------------- #
+
+
+def ref_payment_related_contracts(
+    dataset: MarketDataset,
+    categorizer: Optional[ActivityCategorizer] = None,
+    contracts: Optional[Sequence[Contract]] = None,
+) -> List[Contract]:
+    """Completed public contracts in currency-exchange/payments/giftcard."""
+    categorizer = categorizer or ActivityCategorizer()
+    subset = list(contracts) if contracts is not None else dataset.completed_public()
+    selected: List[Contract] = []
+    for contract in subset:
+        categories = categorizer.categorize_sides(
+            contract.maker_obligation, contract.taker_obligation
+        )
+        if categories & PAYMENT_RELATED_CATEGORIES:
+            selected.append(contract)
+    return selected
+
+
+def ref_top_payment_methods(
+    dataset: MarketDataset,
+    categorizer: Optional[ActivityCategorizer] = None,
+    extractor: Optional[PaymentExtractor] = None,
+    contracts: Optional[Sequence[Contract]] = None,
+) -> PaymentTable:
+    """Table 4: payment methods in completed public payment-related deals."""
+    extractor = extractor or PaymentExtractor()
+    selected = ref_payment_related_contracts(dataset, categorizer, contracts)
+
+    rows: Dict[str, PaymentRow] = {
+        key: PaymentRow(key, PAYMENT_LABELS.get(key, key)) for key in PAYMENT_METHODS
+    }
+    all_row = PaymentRow("all", "All Methods")
+
+    for contract in selected:
+        maker_methods = extractor.extract(contract.maker_obligation)
+        taker_methods = extractor.extract(contract.taker_obligation)
+        both_methods = maker_methods | taker_methods
+        for method in maker_methods:
+            rows[method].maker_contracts += 1
+            rows[method].maker_users.add(contract.maker_id)
+        for method in taker_methods:
+            rows[method].taker_contracts += 1
+            rows[method].taker_users.add(contract.taker_id)
+        for method in both_methods:
+            rows[method].both_contracts += 1
+            rows[method].both_users.add(contract.maker_id)
+            rows[method].both_users.add(contract.taker_id)
+        if maker_methods:
+            all_row.maker_contracts += 1
+            all_row.maker_users.add(contract.maker_id)
+        if taker_methods:
+            all_row.taker_contracts += 1
+            all_row.taker_users.add(contract.taker_id)
+        if both_methods:
+            all_row.both_contracts += 1
+            all_row.both_users.add(contract.maker_id)
+            all_row.both_users.add(contract.taker_id)
+
+    return PaymentTable(rows=rows, all_row=all_row, n_contracts=len(selected))
+
+
+def ref_payment_evolution(
+    dataset: MarketDataset,
+    categorizer: Optional[ActivityCategorizer] = None,
+    extractor: Optional[PaymentExtractor] = None,
+    top_n: int = 5,
+) -> Dict[str, Dict[Month, int]]:
+    """Figure 10: monthly completed contracts per top payment method."""
+    extractor = extractor or PaymentExtractor()
+    selected = ref_payment_related_contracts(dataset, categorizer)
+
+    monthly: Dict[str, Dict[Month, int]] = {}
+    totals: Dict[str, int] = {}
+    for contract in selected:
+        methods = extractor.extract_sides(
+            contract.maker_obligation, contract.taker_obligation
+        )
+        month = month_of(contract.created_at)
+        for method in methods:
+            monthly.setdefault(method, {})
+            monthly[method][month] = monthly[method].get(month, 0) + 1
+            totals[method] = totals.get(method, 0) + 1
+
+    winners = sorted(totals, key=lambda m: (-totals[m], m))[:top_n]
+    return {method: dict(sorted(monthly[method].items())) for method in winners}
+
+
+# --------------------------------------------------------------------- #
+# entity-object references: repro.analysis.values
+# --------------------------------------------------------------------- #
+
+
+def ref_estimate_dataset_values(
+    dataset: MarketDataset,
+    rates: RateOracle,
+    ledger: Optional[Ledger] = None,
+) -> Dict[int, ValuedContract]:
+    """Estimate (and manually check) values for completed public deals."""
+    result: Dict[int, ValuedContract] = {}
+    for contract in dataset.contracts:
+        if not contract.is_complete or not contract.is_public or not contract.is_economic:
+            continue
+        raw = estimate_contract_value(contract, rates)
+        if raw is None or raw.usd <= 0:
+            continue
+        corrected = raw.usd
+        verdict: Optional[Verdict] = None
+        if raw.usd > HIGH_VALUE_THRESHOLD_USD and ledger is not None:
+            check = verify_contract_value(contract, raw.usd, ledger, rates)
+            verdict = check.verdict
+            corrected = check.corrected_usd
+            if verdict == Verdict.UNCONFIRMED and raw.usd > TYPO_CUTOFF_USD:
+                corrected = raw.usd / 10.0  # assume a typing error
+        elif raw.usd > TYPO_CUTOFF_USD:
+            corrected = raw.usd / 10.0
+        result[contract.contract_id] = ValuedContract(
+            contract=contract, raw=raw, corrected_usd=corrected, verdict=verdict
+        )
+    return result
+
+
+def ref_value_tables(
+    dataset: MarketDataset,
+    rates: RateOracle,
+    ledger: Optional[Ledger] = None,
+    categorizer: Optional[ActivityCategorizer] = None,
+    extractor: Optional[PaymentExtractor] = None,
+    top_n: int = 10,
+    valued: Optional[Dict[int, ValuedContract]] = None,
+) -> Tuple[List[Tuple[str, float, float, float]], List[Tuple[str, float, float, float]]]:
+    """Table 5: top activities and payment methods by traded value.
+
+    Returns two lists of ``(label, maker_value, taker_value, total)``
+    sorted by total, the paper's naive per-category sums (a contract in
+    two categories contributes to both).
+    """
+    categorizer = categorizer or ActivityCategorizer()
+    extractor = extractor or PaymentExtractor()
+    if valued is None:
+        valued = ref_estimate_dataset_values(dataset, rates, ledger)
+
+    activity_maker: Dict[str, float] = {}
+    activity_taker: Dict[str, float] = {}
+    method_maker: Dict[str, float] = {}
+    method_taker: Dict[str, float] = {}
+
+    for v in valued.values():
+        contract = v.contract
+        categories = categorizer.categorize_sides(
+            contract.maker_obligation, contract.taker_obligation
+        ) - {UNCATEGORISED}
+        for category in categories:
+            activity_maker[category] = activity_maker.get(category, 0.0) + v.maker_usd
+            activity_taker[category] = activity_taker.get(category, 0.0) + v.taker_usd
+        maker_methods = extractor.extract(contract.maker_obligation)
+        taker_methods = extractor.extract(contract.taker_obligation)
+        for method in maker_methods:
+            method_maker[method] = method_maker.get(method, 0.0) + v.maker_usd
+        for method in taker_methods:
+            method_taker[method] = method_taker.get(method, 0.0) + v.taker_usd
+
+    def build(
+        maker: Dict[str, float], taker: Dict[str, float], labels: Dict[str, str]
+    ) -> List[Tuple[str, float, float, float]]:
+        rows = []
+        for key in set(maker) | set(taker):
+            m = maker.get(key, 0.0)
+            t = taker.get(key, 0.0)
+            rows.append((labels.get(key, key), m, t, m + t))
+        rows.sort(key=lambda r: (-r[3], r[0]))
+        return rows[:top_n]
+
+    return (
+        build(activity_maker, activity_taker, CATEGORY_LABELS),
+        build(method_maker, method_taker, PAYMENT_LABELS),
+    )
+
+
+def ref_value_evolution(
+    dataset: MarketDataset,
+    rates: RateOracle,
+    ledger: Optional[Ledger] = None,
+    categorizer: Optional[ActivityCategorizer] = None,
+    extractor: Optional[PaymentExtractor] = None,
+    top_n: int = 5,
+    valued: Optional[Dict[int, ValuedContract]] = None,
+) -> Dict[str, Dict[str, Dict[Month, float]]]:
+    """Figure 11: monthly USD value by type, payment method and product.
+
+    Returns ``{"by_type": ..., "by_method": ..., "by_product": ...}``,
+    each mapping series label -> {month: usd}.  Products exclude currency
+    exchange and payments, as in Figure 9/11.
+    """
+    categorizer = categorizer or ActivityCategorizer()
+    extractor = extractor or PaymentExtractor()
+    if valued is None:
+        valued = ref_estimate_dataset_values(dataset, rates, ledger)
+
+    by_type: Dict[str, Dict[Month, float]] = {}
+    by_method: Dict[str, Dict[Month, float]] = {}
+    by_product: Dict[str, Dict[Month, float]] = {}
+    method_totals: Dict[str, float] = {}
+    product_totals: Dict[str, float] = {}
+
+    for v in valued.values():
+        contract = v.contract
+        month = month_of(contract.created_at)
+        label = contract.ctype.name
+        by_type.setdefault(label, {})
+        by_type[label][month] = by_type[label].get(month, 0.0) + v.corrected_usd
+
+        methods = extractor.extract_sides(
+            contract.maker_obligation, contract.taker_obligation
+        )
+        for method in methods:
+            name = PAYMENT_LABELS.get(method, method)
+            by_method.setdefault(name, {})
+            by_method[name][month] = by_method[name].get(month, 0.0) + v.corrected_usd
+            method_totals[name] = method_totals.get(name, 0.0) + v.corrected_usd
+
+        categories = categorizer.categorize_sides(
+            contract.maker_obligation, contract.taker_obligation
+        ) - {UNCATEGORISED, "currency_exchange", "payments"}
+        for category in categories:
+            name = CATEGORY_LABELS.get(category, category)
+            by_product.setdefault(name, {})
+            by_product[name][month] = by_product[name].get(month, 0.0) + v.corrected_usd
+            product_totals[name] = product_totals.get(name, 0.0) + v.corrected_usd
+
+    # Rankings break ties on the label and type columns follow the enum,
+    # so the output never depends on the order contracts are stored in.
+    top_methods = sorted(method_totals, key=lambda m: (-method_totals[m], m))[:top_n]
+    top_products = sorted(product_totals, key=lambda p: (-product_totals[p], p))[:top_n]
+    return {
+        "by_type": {
+            ctype.name: dict(sorted(by_type[ctype.name].items()))
+            for ctype in ContractType
+            if ctype.name in by_type
+        },
+        "by_method": {k: dict(sorted(by_method[k].items())) for k in top_methods},
+        "by_product": {k: dict(sorted(by_product[k].items())) for k in top_products},
+    }
+
+
+# --------------------------------------------------------------------- #
+# entity-object references: repro.analysis.eras_summary
+# --------------------------------------------------------------------- #
+
+
+def ref_composition_distance(
+    dataset: MarketDataset,
+    era_a: Era,
+    era_b: Era,
+    by: str = "type",
+    categorizer: Optional[ActivityCategorizer] = None,
+) -> float:
+    """Total-variation distance between two eras' activity composition.
+
+    ``by`` is "type" (contract types) or "category" (trading activities of
+    completed public contracts).  0 = identical mix, 1 = disjoint.
+    """
+    def distribution(era: Era) -> Dict[str, float]:
+        contracts = dataset.in_era(era)
+        if by == "type":
+            counts: Dict[str, float] = {}
+            for contract in contracts:
+                counts[contract.ctype.name] = counts.get(contract.ctype.name, 0) + 1
+        elif by == "category":
+            cat = categorizer or ActivityCategorizer()
+            counts = {}
+            for contract in contracts:
+                if not (contract.is_complete and contract.is_public):
+                    continue
+                for key in cat.categorize_sides(
+                    contract.maker_obligation, contract.taker_obligation
+                ) - {UNCATEGORISED}:
+                    counts[key] = counts.get(key, 0) + 1
+        else:
+            raise ValueError("by must be 'type' or 'category'")
+        total = sum(counts.values())
+        return {k: v / total for k, v in counts.items()} if total else {}
+
+    dist_a = distribution(era_a)
+    dist_b = distribution(era_b)
+    keys = set(dist_a) | set(dist_b)
+    return 0.5 * sum(abs(dist_a.get(k, 0.0) - dist_b.get(k, 0.0)) for k in keys)
+
+
+# --------------------------------------------------------------------- #
 # entity-object references: repro.network.degrees
 # --------------------------------------------------------------------- #
 
@@ -738,6 +1060,99 @@ def test_activities_subset_parity(ds):
 
 def test_product_evolution_parity(ds):
     assert product_evolution(ds) == ref_product_evolution(ds)
+
+
+def _ordered(value):
+    """Nested dicts as nested item lists, so order is compared as well."""
+    if isinstance(value, dict):
+        return [(key, _ordered(item)) for key, item in value.items()]
+    return value
+
+
+def test_payment_related_contracts_parity(ds):
+    assert payment_related_contracts(ds) == ref_payment_related_contracts(ds)
+
+
+def test_top_payment_methods_parity(ds):
+    fast, slow = top_payment_methods(ds), ref_top_payment_methods(ds)
+    assert fast.n_contracts == slow.n_contracts
+    assert list(fast.rows.items()) == list(slow.rows.items())
+    assert fast.all_row == slow.all_row
+
+
+def test_payment_evolution_parity(ds):
+    assert _ordered(payment_evolution(ds)) == _ordered(ref_payment_evolution(ds))
+
+
+def test_estimate_dataset_values_parity(market):
+    fast = estimate_dataset_values(market.dataset, market.rates, market.ledger)
+    slow = ref_estimate_dataset_values(market.dataset, market.rates, market.ledger)
+    assert fast and list(fast.items()) == list(slow.items())
+
+
+def test_value_tables_parity(market):
+    ds, rates, ledger = market.dataset, market.rates, market.ledger
+    valued = ref_estimate_dataset_values(ds, rates, ledger)
+    fast = value_tables(ds, rates, ledger, valued=valued)
+    assert fast == ref_value_tables(ds, rates, ledger, valued=valued)
+    assert value_tables(ds, rates, ledger) == fast
+
+
+def test_value_evolution_parity(market):
+    ds, rates, ledger = market.dataset, market.rates, market.ledger
+    valued = ref_estimate_dataset_values(ds, rates, ledger)
+    fast = _ordered(value_evolution(ds, rates, ledger, valued=valued))
+    assert fast == _ordered(ref_value_evolution(ds, rates, ledger, valued=valued))
+    assert _ordered(value_evolution(ds, rates, ledger)) == fast
+
+
+def test_composition_distance_parity(ds):
+    for era_a in ERAS:
+        for era_b in ERAS:
+            for by in ("type", "category"):
+                fast = composition_distance(ds, era_a, era_b, by=by)
+                assert fast == ref_composition_distance(ds, era_a, era_b, by=by)
+
+
+def _calls_of(func, run) -> int:
+    """How many times ``func`` is entered while ``run()`` executes."""
+    code = func.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_text_artefacts_unify_each_text_once(market):
+    """Tables 3–5, Figures 9–11, §4.5 and §6 share one text pass.
+
+    Each completed public contract's maker, taker and joined text is
+    synonym-unified once: three calls per contract, whichever artefacts
+    run and however often.
+    """
+    from repro.report.experiments import ExperimentContext, run_experiment
+    from repro.text.normalize import unify_synonyms
+
+    market.dataset.columns().derived.pop("text_features", None)
+    ctx = ExperimentContext(market, latent_k=12)
+    ids = ("table3", "table4", "table5", "fig09", "fig10", "fig11", "sec45", "eras")
+
+    def run():
+        for experiment_id in ids + ids:
+            run_experiment(experiment_id, ctx)
+
+    calls = _calls_of(unify_synonyms, run)
+    n_contracts = len(market.dataset.completed_public())
+    assert n_contracts and 0 < calls <= 3 * n_contracts
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,64 @@
 """Tests for the Zero-Inflated Poisson regression."""
 
+from typing import Tuple
+
 import numpy as np
 import pytest
+from scipy.special import expit, ndtr
+from scipy.stats import norm
 
+from repro.stats import zip_model
 from repro.stats.poisson_glm import fit_poisson
 from repro.stats.vuong import vuong_test
-from repro.stats.zip_model import fit_zip
+from repro.stats.zip_model import _MAX_ETA, _zip_loglik_terms, fit_zip
+
+
+def ref_negloglik_and_grad(
+    params: np.ndarray,
+    X: np.ndarray,
+    Z: np.ndarray,
+    y: np.ndarray,
+) -> Tuple[float, np.ndarray]:
+    """The ZIP objective as one stateless function, every term recomputed."""
+    p = X.shape[1]
+    beta, gamma = params[:p], params[p:]
+    eta = np.clip(X @ beta, -_MAX_ETA, _MAX_ETA)
+    zeta = np.clip(Z @ gamma, -_MAX_ETA, _MAX_ETA)
+    mu = np.exp(eta)
+    pi = expit(zeta)
+
+    terms = _zip_loglik_terms(y, eta, zeta)
+    loglik = float(terms.sum())
+
+    zero_mask = y == 0
+    # Weight of the Poisson branch for observed zeros.
+    log_pi = -np.logaddexp(0.0, -zeta)
+    log_one_minus_pi = -np.logaddexp(0.0, zeta)
+    with np.errstate(over="ignore"):
+        ll0 = np.logaddexp(log_pi, log_one_minus_pi - mu)
+    w_pois = np.exp(log_one_minus_pi - mu - ll0)  # in (0, 1]
+
+    grad_eta = np.where(zero_mask, -w_pois * mu, y - mu)
+    # d log L0 / d zeta = pi (1 - pi) (1 - e^{-mu}) / L0 for observed zeros,
+    # and d log(1 - pi) / d zeta = -pi for positive counts.
+    p0 = np.exp(-mu)
+    with np.errstate(over="ignore", under="ignore"):
+        zero_grad = pi * (1.0 - pi) * (1.0 - p0) / np.maximum(np.exp(ll0), 1e-300)
+    grad_zeta = np.where(zero_mask, zero_grad, -pi)
+    grad_beta = X.T @ grad_eta
+    grad_gamma = Z.T @ grad_zeta
+    grad = np.concatenate([grad_beta, grad_gamma])
+    return -loglik, -grad
+
+
+class _RefObjective:
+    """Drop-in for ``zip_model._Objective`` that calls the reference."""
+
+    def __init__(self, X, Z, y):
+        self.args = (X, Z, y)
+
+    def __call__(self, params):
+        return ref_negloglik_and_grad(params, *self.args)
 
 
 def simulate_zip(seed=0, n=5000, beta=(0.5, 0.8, -0.3), gamma=(-1.0, 1.2)):
@@ -104,6 +157,45 @@ class TestFitZip:
         result = fit_zip(X, y, Z)
         assert np.isfinite(result.aic)
         assert result.bic > result.aic  # n > e^2
+
+
+class TestObjective:
+    @pytest.mark.parametrize("n", [7, 1859])
+    def test_matches_reference_bit_for_bit(self, n):
+        X, Z, y = simulate_zip(seed=n, n=n)
+        design_x = np.column_stack([np.ones(n), X])
+        design_z = np.column_stack([np.ones(n), Z])
+        objective = zip_model._Objective(design_x, design_z, y.astype(float))
+        rng = np.random.default_rng(n)
+        for scale in (0.1, 1.0, 10.0):
+            for _ in range(7):
+                params = rng.normal(scale=scale, size=5)
+                value, grad = objective(params)
+                ref_value, ref_grad = ref_negloglik_and_grad(
+                    params, design_x, design_z, y.astype(float)
+                )
+                assert np.array_equal(value, ref_value)
+                assert np.array_equal(grad, ref_grad)
+
+    def test_fit_identical_to_reference_objective(self, monkeypatch):
+        X, Z, y = simulate_zip(n=2000)
+        fast = fit_zip(X, y, Z)
+        monkeypatch.setattr(zip_model, "_Objective", _RefObjective)
+        slow = fit_zip(X, y, Z)
+        for name in ("count_coef", "count_se", "zero_coef", "zero_se"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name))
+        assert fast.log_likelihood == slow.log_likelihood
+        assert fast.null_log_likelihood == slow.null_log_likelihood
+        assert fast.converged == slow.converged
+
+    def test_p_values_match_scipy_norm(self):
+        z = np.random.default_rng(3).normal(scale=4.0, size=100_000)
+        z[:4] = (0.0, -0.0, np.inf, -np.inf)
+        assert np.array_equal(ndtr(-np.abs(z)), norm.sf(np.abs(z)))
+        X, Z, y = simulate_zip(n=600)
+        result = fit_zip(X, y, Z)
+        assert np.array_equal(result.count_p, 2.0 * norm.sf(np.abs(result.count_z)))
+        assert np.array_equal(result.zero_p, 2.0 * norm.sf(np.abs(result.zero_z)))
 
 
 class TestVuong:
