@@ -92,7 +92,21 @@ def cold_start_records(
     dataset: MarketDataset, era: Era
 ) -> List[UserEraRecord]:
     """Measure the cold-start variables for every contract-system user of
-    an era (users party to at least one contract *created* in the era)."""
+    an era (users party to at least one contract *created* in the era).
+
+    Tables 9 and 10 both read the STABLE and COVID-19 records, so each
+    era's records are built once per dataset and memoized on
+    ``ColumnStore.derived``; callers get their own list.
+    """
+    derived = dataset.columns().derived
+    # Keyed by the bounds too: an ablation may shift an era and keep its name.
+    key = f"cold_start_records.{era.name}.{era.start}.{era.end}"
+    if key not in derived:
+        derived[key] = _build_records(dataset, era)
+    return list(derived[key])
+
+
+def _build_records(dataset: MarketDataset, era: Era) -> List[UserEraRecord]:
     start, end = _era_bounds(era)
     window = dataset.user_activity(start, end)
     overall = dataset.user_activity(None, end)

@@ -20,6 +20,13 @@ from scipy.special import ndtr
 
 __all__ = ["VuongResult", "vuong_test"]
 
+#: Pointwise log-likelihood differences below this mean the two models
+#: coincide.  A ZIP fit whose zero-inflation intercept ran off to ~-25
+#: differs from its Poisson fit by ~1e-9 per point, with an sd of ~1e-10
+#: that turns the AIC correction into statistics of -1e5 to -1e9; fits
+#: that have not collapsed differ with an sd of 0.03 or more.
+_COINCIDENT = 1e-6
+
 
 @dataclass(frozen=True)
 class VuongResult:
@@ -66,7 +73,7 @@ def vuong_test(
     if correction:
         m = m - (n_params1 - n_params2) / (2.0 * n) * np.log(n)
     sd = float(m.std(ddof=1))
-    if sd < 1e-10:
+    if sd < 1e-10 or float(np.abs(l1 - l2).max()) < _COINCIDENT:
         # The models coincide pointwise (e.g. ZIP collapsed onto Poisson);
         # the statistic is undefined — report indistinguishable.
         return VuongResult(0.0, 1.0, n, False)

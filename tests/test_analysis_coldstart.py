@@ -1,5 +1,8 @@
 """Tests for the cold-start analysis (§5.2, Tables 7, 9, 10)."""
 
+import dataclasses
+import datetime
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,9 @@ from repro.analysis.coldstart import (
     zip_subsamples,
 )
 from repro.core import COVID19, SETUP, STABLE
+from repro.core.eras import Era
+from repro.core.dataset import MarketDataset
+from repro.report.experiments import ExperimentContext, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +63,43 @@ class TestRecords:
             if record.first_time:
                 assert record.prev_disputes == 0
                 assert record.prev_negative == 0
+
+
+class TestRecordsMemo:
+    def test_tables_9_and_10_build_each_era_once(self, sim_small, monkeypatch):
+        """Table 10 reuses Table 9's STABLE and COVID-19 records: three
+        eras built once, three ``user_activity`` scans each."""
+        d = sim_small.dataset
+        fresh = MarketDataset(d.users, d.contracts, d.threads, d.posts, d.ratings)
+        ctx = ExperimentContext(dataclasses.replace(sim_small, dataset=fresh))
+        scans = []
+        scan = MarketDataset.user_activity
+
+        def counted(self, *args, **kwargs):
+            scans.append(args)
+            return scan(self, *args, **kwargs)
+
+        monkeypatch.setattr(MarketDataset, "user_activity", counted)
+        run_experiment("table9", ctx)
+        run_experiment("table10", ctx)
+        assert len(scans) == 9
+        monkeypatch.undo()
+        # Each call gets its own copy of what a fresh build gives.
+        uncached = MarketDataset(d.users, d.contracts, d.threads, d.posts, d.ratings)
+        for era in (STABLE, COVID19):
+            records = cold_start_records(fresh, era)
+            assert records is not cold_start_records(fresh, era)
+            assert records == cold_start_records(uncached, era)
+
+    def test_shifted_era_with_the_same_name_is_built_anew(self, dataset):
+        shifted = Era(STABLE.name, STABLE.short,
+                      STABLE.start + datetime.timedelta(days=30), STABLE.end)
+        stable = cold_start_records(dataset, STABLE)
+        late = cold_start_records(dataset, shifted)
+        assert 0 < len(late) < len(stable)
+        d = dataset
+        uncached = MarketDataset(d.users, d.contracts, d.threads, d.posts, d.ratings)
+        assert late == cold_start_records(uncached, shifted)
 
 
 class TestZipAllUsers:

@@ -4,13 +4,25 @@ from typing import Tuple
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import expit, ndtr
 from scipy.stats import norm
 
+from repro.analysis.coldstart import _design, cold_start_records
+from repro.core.eras import COVID19
+from repro.obs import disable_tracing, enable_tracing
 from repro.stats import zip_model
-from repro.stats.poisson_glm import fit_poisson
+from repro.stats.poisson_glm import add_intercept, fit_poisson
 from repro.stats.vuong import vuong_test
-from repro.stats.zip_model import _MAX_ETA, _zip_loglik_terms, fit_zip
+from repro.stats.zip_model import (
+    _MAX_ETA,
+    _column_scales,
+    _Objective,
+    _zip_loglik_terms,
+    fit_zip,
+)
+from repro.synth.config import SimulationConfig
+from repro.synth.engine import run_engine
 
 
 def ref_negloglik_and_grad(
@@ -51,14 +63,58 @@ def ref_negloglik_and_grad(
     return -loglik, -grad
 
 
-class _RefObjective:
-    """Drop-in for ``zip_model._Objective`` that calls the reference."""
+class _RefObjective(_Objective):
+    """``zip_model._Objective`` with the reference likelihood and gradient.
 
-    def __init__(self, X, Z, y):
-        self.args = (X, Z, y)
+    Only ``__call__`` is replaced, so a fit through it still uses the
+    per-fit constants and the analytic Hessian of ``_Objective``.
+    """
 
     def __call__(self, params):
-        return ref_negloglik_and_grad(params, *self.args)
+        return ref_negloglik_and_grad(params, self.X, self.Z, self.y)
+
+
+def ref_numerical_hessian(
+    objective: _Objective, params: np.ndarray, step: float = 1e-5
+) -> np.ndarray:
+    """Central finite differences of the analytic gradient."""
+    k = len(params)
+    hessian = np.zeros((k, k))
+    for i in range(k):
+        h = step * max(1.0, abs(params[i]))
+        plus = params.copy()
+        plus[i] += h
+        minus = params.copy()
+        minus[i] -= h
+        _, grad_plus = objective(plus)
+        _, grad_minus = objective(minus)
+        hessian[i] = (grad_plus - grad_minus) / (2.0 * h)
+    return 0.5 * (hessian + hessian.T)
+
+
+def ref_fit_raw(
+    X: np.ndarray, Z: np.ndarray, y: np.ndarray
+) -> Tuple[np.ndarray, float, bool]:
+    """Optimize in column-scaled space for conditioning, return unscaled."""
+    p, q = X.shape[1], Z.shape[1]
+    sx, sz = _column_scales(X), _column_scales(Z)
+    Xs, Zs = X / sx, Z / sz
+    init = np.zeros(p + q)
+    init[0] = np.log(max(y[y > 0].mean() if np.any(y > 0) else 0.5, 1e-3))
+    zero_share = float((y == 0).mean())
+    init[p] = np.log(max(zero_share, 0.05) / max(1.0 - zero_share, 0.05))
+    # Bounds (in scaled space) keep coefficients finite under separation,
+    # e.g. when no always-zero user has a nonzero dispute count.
+    result = minimize(
+        _Objective(Xs, Zs, y),
+        init,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(-30.0, 30.0)] * (p + q),
+        options={"maxiter": 3000, "maxfun": 6000, "ftol": 1e-13, "gtol": 1e-9},
+    )
+    params = result.x / np.concatenate([sx, sz])
+    return params, -float(result.fun), bool(result.success)
 
 
 def simulate_zip(seed=0, n=5000, beta=(0.5, 0.8, -0.3), gamma=(-1.0, 1.2)):
@@ -187,6 +243,7 @@ class TestObjective:
         assert fast.log_likelihood == slow.log_likelihood
         assert fast.null_log_likelihood == slow.null_log_likelihood
         assert fast.converged == slow.converged
+        assert fast.n_iter == slow.n_iter
 
     def test_p_values_match_scipy_norm(self):
         z = np.random.default_rng(3).normal(scale=4.0, size=100_000)
@@ -196,6 +253,78 @@ class TestObjective:
         result = fit_zip(X, y, Z)
         assert np.array_equal(result.count_p, 2.0 * norm.sf(np.abs(result.count_z)))
         assert np.array_equal(result.zero_p, 2.0 * norm.sf(np.abs(result.zero_z)))
+
+
+def report_design(seed: int, first_time: bool):
+    """A COVID-19 design of ``repro report``'s scale-0.05 market: all users
+    (Table 9) or the first-time users (Table 10)."""
+    dataset = run_engine(SimulationConfig(scale=0.05, seed=seed)).dataset
+    records = cold_start_records(dataset, COVID19)
+    if first_time:
+        records = [r for r in records if r.first_time]
+    X, Z, y, _, _ = _design(records, include_first_time=not first_time)
+    return X, Z, y
+
+
+class TestHessian:
+    @pytest.mark.parametrize("n", [7, 1859])
+    def test_matches_numerical_hessian(self, n):
+        X, Z, y = simulate_zip(seed=n, n=n)
+        design_x = np.column_stack([np.ones(n), X])
+        design_z = np.column_stack([np.ones(n), Z])
+        objective = zip_model._Objective(design_x, design_z, y.astype(float))
+        rng = np.random.default_rng(n)
+        for scale in (0.1, 1.0, 3.0):
+            for _ in range(7):
+                params = rng.normal(scale=scale, size=5)
+                analytic = objective.hessian(params)
+                numeric = ref_numerical_hessian(objective, params)
+                assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+
+class TestSolver:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lbfgs_reference(self, seed):
+        X, Z, y = simulate_zip(seed=seed, n=3000)
+        design_x, design_z = add_intercept(X), add_intercept(Z)
+        y = y.astype(float)
+        ref_params, ref_loglik, ref_converged = ref_fit_raw(design_x, design_z, y)
+        params, loglik, converged, _ = zip_model._fit_raw(design_x, design_z, y)
+        assert ref_converged and converged
+        assert loglik >= ref_loglik - 1e-9
+        assert np.abs(params - ref_params).max() <= 1e-5
+
+    def test_reaches_the_maximum_lbfgs_stops_short_of(self):
+        # COVID-19, all users, seed 713009: L-BFGS-B reports convergence
+        # at log L = -1098.093, 2.06 below the maximum.
+        X, Z, y = report_design(713009, first_time=False)
+        design_x, design_z = add_intercept(X), add_intercept(Z)
+        _, ref_loglik, ref_converged = ref_fit_raw(design_x, design_z, y)
+        result = fit_zip(X, y, Z)
+        assert ref_converged and result.converged
+        assert result.log_likelihood > ref_loglik + 1.0
+
+    def test_separated_zero_covariate(self):
+        # A zero-model covariate that is positive only where y > 0: its
+        # coefficient's MLE is -infinity, so the box must stop it.
+        X, Z, y = simulate_zip(n=2000)
+        rng = np.random.default_rng(5)
+        separated = np.where(y > 0, rng.poisson(2.0, len(y)), 0).astype(float)
+        result = fit_zip(X, y, np.column_stack([Z, separated]))
+        assert result.converged
+        assert np.isfinite(result.log_likelihood)
+        assert result.zero_coef[-1] < -5.0
+
+    def test_counts_iterations_under_a_span(self):
+        X, Z, y = simulate_zip(n=1000)
+        tracer = enable_tracing()
+        try:
+            result = fit_zip(X, y, Z)
+        finally:
+            disable_tracing()
+        assert [root.name for root in tracer.roots] == ["stats.zip_fit"]
+        # The full fit's steps plus the intercept-only null fit's.
+        assert tracer.counters["stats.zip_iterations"] > result.n_iter > 0
 
 
 class TestVuong:
@@ -228,3 +357,16 @@ class TestVuong:
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
             vuong_test(np.zeros(1), np.zeros(1))
+
+    def test_collapsed_zip_indistinguishable_from_poisson(self):
+        # COVID-19 first-time users, seed 20201027: the zero-inflation
+        # intercept runs off to about -25 and ZIP collapses onto Poisson.
+        X, Z, y = report_design(20201027, first_time=True)
+        zipr = fit_zip(X, y, Z)
+        pois = fit_poisson(X, y)
+        ll_zip, ll_pois = zipr.loglik_terms(X, Z, y), pois.loglik_terms(X, y)
+        assert zipr.zero_coef[0] < -15.0
+        assert np.abs(ll_zip - ll_pois).max() < 1e-6
+        result = vuong_test(ll_zip, ll_pois, zipr.n_params, len(pois.coef))
+        assert (result.statistic, result.p_value) == (0.0, 1.0)
+        assert not result.favours_model1
