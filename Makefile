@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-faults runs-smoke api-smoke lint lint-changed docscheck typecheck bench bench-smoke bench-gen-smoke bench-api-smoke bench-stream bench-stream-smoke reproduce reproduce-full clean
+.PHONY: install test test-faults runs-smoke api-smoke lint lint-changed docscheck typecheck bench bench-smoke bench-gen-smoke bench-stream bench-stream-smoke reproduce reproduce-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -73,17 +73,6 @@ bench-gen-smoke:
 	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) benchmarks/check_gen_regression.py \
 		BENCH_gen_smoke.json
 
-# API load harness: concurrency sweep (50/200/500 simultaneous
-# keep-alive clients) against the warmed serving layer, publishing
-# p50/p99 latency to BENCH_api.json and gating it against the committed
-# baseline (fails on a >4x slowdown above the 5ms jitter floor, or any
-# request error; refresh with check_api_regression.py --update).
-bench-api-smoke:
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) benchmarks/bench_api.py \
-		--out BENCH_api.json
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) benchmarks/check_api_regression.py \
-		BENCH_api.json
-
 # Resident-vs-partitioned query benchmark: wall time + peak RSS (each
 # scenario in its own forked child) for full-history and single-era
 # queries.  The smoke variant only asserts the era query opens exactly
@@ -106,5 +95,5 @@ reproduce-full:
 	$(PYTHON) examples/reproduce_paper.py --scale 1.0 --out reproduction_fullscale
 
 clean:
-	rm -rf reproduction_results benchmarks/results .pytest_cache BENCH_gen_smoke.json BENCH_stream_smoke.json BENCH_api.json
+	rm -rf reproduction_results benchmarks/results .pytest_cache BENCH_gen_smoke.json BENCH_stream_smoke.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -49,6 +49,7 @@ from .runner import (
     open_market,
     resume_run,
     run_results,
+    stored_results,
 )
 from .store import (
     RUN_FILE,
@@ -94,4 +95,5 @@ __all__ = [
     "open_market",
     "resume_run",
     "run_results",
+    "stored_results",
 ]

@@ -15,6 +15,10 @@ forked compute all resolve a context here, in three steps:
    ``stream-<id>`` slices fold the partitioned store, ``summary`` is
    serve's dataset overview, every other id is a classic experiment.
 
+:func:`stored_results` is the replay beside them: the results of a
+recorded run of the context, found by probing its run key's slots in the
+store, so serve's store tier never recomputes what a run already holds.
+
 :func:`execute_run` wraps step 3 in a run-store directory (begin, record
 each result as it lands, seal).  :func:`resume_run` is its inverse for an
 interrupted or degraded run: reopen it, reopen its dataset, and
@@ -64,6 +68,7 @@ __all__ = [
     "open_market",
     "resume_run",
     "run_results",
+    "stored_results",
 ]
 
 #: The config fields a context records, so resume can rebuild the config.
@@ -252,6 +257,21 @@ def open_market(
         **overrides,
     )
     return Market(config, hit, result=result)
+
+
+def stored_results(
+    store: RunStore, context: RunContext
+) -> Optional[List[ExperimentResult]]:
+    """``context``'s results replayed from ``store``, in context order.
+
+    ``None`` when no complete run of the context's key holds an ``ok``
+    result for each of its ids (see :meth:`RunStore.find`: the lookup
+    probes the key's run slots, never lists the store).
+    """
+    record = store.find(context)
+    if record is None:
+        return None
+    return [record.results[eid] for eid in context.experiments]
 
 
 def _registry(result_id: str) -> str:

@@ -14,11 +14,13 @@ root (``$REPRO_RUNS_DIR`` or ``~/.cache/repro/runs``):
 The directory name is the deterministic :meth:`~repro.runs.contract.
 RunContext.run_name` (identity-derived, never a timestamp); repeat
 invocations of the same context get ordinal ``-2``/``-3`` suffixes so
-byte-identical reruns sit side by side for ``runs diff``.  Publication
-reuses the :mod:`repro.robust` protocol end to end: the directory is
-staged as a ``tmp-<pid>`` sibling and renamed into place, every result
-file is written via write-to-temp + fsync + ``os.replace``, and
-``finish`` seals the run with a sha256 index over its files.  A
+byte-identical reruns sit side by side for ``runs diff``, and
+:meth:`RunStore.find` replays a context by probing those slots in
+order.  Publication reuses the :mod:`repro.robust` protocol end to end:
+the directory is staged as a ``tmp-<pid>`` sibling (never listed as a
+run) and renamed into place, every result file is written via
+write-to-temp + fsync + ``os.replace``, and ``finish`` seals the run
+with a sha256 index over its files.  A
 ``run.json`` that fails to parse — torn by a crash or external writer —
 is quarantined to ``<run>.corrupt-<n>`` and counted
 (``runs.corrupt``), never deleted and never fatal to a listing.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -70,6 +73,11 @@ RUN_FILE = "run.json"
 
 _RESULTS_DIR = "results"
 _ARTIFACTS_DIR = "artifacts"
+
+#: The siblings the publish protocol stages a run in (``<run>.tmp-<pid>``)
+#: and displaces an old one to (``<run>.old-<pid>``): never runs, even
+#: when an interrupted writer left one holding a ``run.json``.
+_PUBLISH_SIBLING = re.compile(r"\.(?:tmp|old)-\d+$")
 
 
 class RunsError(RuntimeError):
@@ -327,6 +335,11 @@ def _load_results(run_path: str) -> Dict[str, ExperimentResult]:
     return results
 
 
+def _slot(base: str, n: int) -> str:
+    """The run id of ``base``'s ``n``-th slot: ``base``, ``base-2``, …"""
+    return base if n == 1 else f"{base}-{n}"
+
+
 class RunStore:
     """Reader/writer over the runs root directory.
 
@@ -398,11 +411,43 @@ class RunStore:
 
     def _allocate(self, base: str) -> "tuple[str, str]":
         n = 1
-        candidate = base
-        while os.path.exists(os.path.join(self.root, candidate)):
+        while os.path.exists(self.path_for(_slot(base, n))):
             n += 1
-            candidate = f"{base}-{n}"
-        return candidate, os.path.join(self.root, candidate)
+        return _slot(base, n), self.path_for(_slot(base, n))
+
+    def find(self, context: RunContext) -> Optional[RunRecord]:
+        """The recorded run that replays ``context``, or ``None``.
+
+        Probes ``context``'s slots in the order :meth:`_allocate` fills
+        them — ``run_name()``, then ``-2``, ``-3``, … — while a slot is
+        taken, and returns the first run that is complete, has the same
+        run key and holds an ``ok`` result for every experiment of the
+        context.  A damaged run is skipped.  A lookup costs one probe per
+        run recorded under the key plus one for the free slot that ends
+        it, whatever the size of the store; a gap (a run deleted by hand
+        or quarantined) therefore hides the runs beyond it, and the key
+        is recomputed once into the gap.  The slots probed are counted
+        as ``runs.lookup_probes``.
+        """
+        base, key = context.run_name(), context.run_key()
+        found: Optional[RunRecord] = None
+        n = 0
+        while found is None:
+            n += 1
+            run_id = _slot(base, n)
+            if not os.path.exists(self.path_for(run_id)):
+                break
+            try:
+                record = self.load(run_id)
+            except RunsError:  # robust: a damaged run is no replay — probe the next slot, never fail the lookup
+                continue
+            if record.ok and record.context.run_key() == key and all(
+                eid in record.results and record.results[eid].ok
+                for eid in context.experiments
+            ):
+                found = record
+        get_tracer().count("runs.lookup_probes", n)
+        return found
 
     # ------------------------------------------------------------- reads
 
@@ -410,12 +455,17 @@ class RunStore:
         return os.path.join(self.root, run_id)
 
     def run_ids(self) -> List[str]:
-        """Ids of every directory under the root holding a ``run.json``."""
+        """Ids of every run directory under the root holding a ``run.json``.
+
+        Quarantined runs and the publish protocol's staging and
+        displaced siblings are not runs and are left out.
+        """
         if not os.path.isdir(self.root):
             return []
         out = []
         for name in sorted(os.listdir(self.root)):
-            if ".corrupt-" in name or name.endswith(".lock"):
+            if (".corrupt-" in name or name.endswith(".lock")
+                    or _PUBLISH_SIBLING.search(name)):
                 continue
             if os.path.isfile(os.path.join(self.root, name, RUN_FILE)):
                 out.append(name)

@@ -6,10 +6,13 @@ Every endpoint that computes anything reduces its request to a frozen
 :meth:`MarketService.execute` then resolves that key through three
 tiers, cheapest first:
 
-1. **memo** — an in-process map of run_key → response payload;
+1. **memo** — an in-process map of run_key → response payload, the
+   :data:`MEMO_CAPACITY` most recently used kept;
 2. **store** — a completed run with the same key in the persistent
    :class:`~repro.runs.store.RunStore` (so replays survive restarts and
-   are shared between server processes pointed at one runs dir);
+   are shared between server processes pointed at one runs dir), found
+   by :func:`~repro.runs.runner.stored_results` probing the key's run
+   slots;
 3. **compute** — resolve the context through the same runner as the
    CLI (:mod:`repro.runs.runner`): open its dataset through the ordinary
    cache (:mod:`repro.synth.cache`, itself keyed on the config
@@ -18,7 +21,8 @@ tiers, cheapest first:
 Tier 3 is single-flight: concurrent requests for the same key serialize
 on a per-key lock and re-check the memo/store inside it, so two
 simultaneous identical requests trigger exactly one generation — the
-second serves the first's bytes.  Responses are built exclusively from
+second serves the first's bytes.  The lock is dropped once no request
+holds or awaits it.  Responses are built exclusively from
 deterministic result fields (never timings or attempt counts), so all
 three tiers yield byte-identical JSON for one key.
 
@@ -33,8 +37,10 @@ from __future__ import annotations
 
 import platform
 import threading
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from collections import OrderedDict
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .. import __version__
 from ..obs.manifest import RunManifest, write_manifest
@@ -42,8 +48,8 @@ from ..obs.tracer import get_tracer
 from ..robust.parallel import forked_call
 from ..robust.retry import RetryPolicy
 from ..runs.contract import ExperimentResult, RunContext
-from ..runs.runner import context_for, open_market, run_results
-from ..runs.store import RunsError, RunStore, UnknownRunError
+from ..runs.runner import context_for, open_market, run_results, stored_results
+from ..runs.store import RunStore, UnknownRunError
 from ..synth.config import SimulationConfig
 from .settings import ServeSettings
 
@@ -53,7 +59,12 @@ from .settings import ServeSettings
 from ..report import experiments as _classic, stream_experiments as _slices  # noqa: F401
 from ..synth import cache as _cache, fastgen, streamgen  # noqa: F401
 
-__all__ = ["ServeReply", "MarketService", "response_payload"]
+__all__ = ["MEMO_CAPACITY", "ServeReply", "MarketService", "response_payload"]
+
+#: Payloads the memo keeps; the least recently used goes first.  1,150
+#: recorded slice payloads held 9.8 MB under tracemalloc (~8.5 KB each),
+#: so a full memo holds ~9 MB.
+MEMO_CAPACITY = 1024
 
 
 @dataclass
@@ -128,6 +139,14 @@ def _compute_results(spec: Mapping[str, Any]) -> List[ExperimentResult]:
     return run_results(context, market)
 
 
+@dataclass
+class _Flight:
+    """One key's single-flight lock and the requests holding or awaiting it."""
+
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    users: int = 0
+
+
 class MarketService:
     """Resolve serve contexts through memo → run store → compute."""
 
@@ -136,9 +155,9 @@ class MarketService:
         self.store: Optional[RunStore] = (
             RunStore(settings.runs_dir) if settings.use_run_store else None
         )
-        self._memo: Dict[str, Dict[str, Any]] = {}
+        self._memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._memo_lock = threading.Lock()
-        self._inflight: Dict[str, threading.Lock] = {}
+        self._inflight: Dict[str, _Flight] = {}
 
     # ------------------------------------------------------- contexts
 
@@ -186,12 +205,12 @@ class MarketService:
         if memo is not None:
             get_tracer().count("serve.memo_hit")
             return ServeReply(memo, "memo", ok=True, run_key=key)
-        with self._key_lock(key):
+        with self._single_flight(key):
             memo = self._memo_get(key)
             if memo is not None:
                 get_tracer().count("serve.memo_hit")
                 return ServeReply(memo, "memo", ok=True, run_key=key)
-            stored = self._stored_payload(context, key)
+            stored = self._stored_payload(context)
             if stored is not None:
                 get_tracer().count("serve.store_hit")
                 self._memo_put(key, stored)
@@ -203,44 +222,40 @@ class MarketService:
 
     def _memo_get(self, key: str) -> Optional[Dict[str, Any]]:
         with self._memo_lock:
-            return self._memo.get(key)
+            payload = self._memo.get(key)
+            if payload is not None:
+                self._memo.move_to_end(key)
+            return payload
 
     def _memo_put(self, key: str, payload: Dict[str, Any]) -> None:
         with self._memo_lock:
             self._memo[key] = payload
+            self._memo.move_to_end(key)
+            while len(self._memo) > MEMO_CAPACITY:
+                self._memo.popitem(last=False)
+                get_tracer().count("serve.memo_evicted")
 
-    def _key_lock(self, key: str) -> threading.Lock:
+    @contextmanager
+    def _single_flight(self, key: str) -> Iterator[None]:
+        """Hold ``key``'s lock; drop it when no request holds or awaits it."""
         with self._memo_lock:
-            return self._inflight.setdefault(key, threading.Lock())
+            flight = self._inflight.setdefault(key, _Flight())
+            flight.users += 1
+        try:
+            with flight.lock:
+                yield
+        finally:
+            with self._memo_lock:
+                flight.users -= 1
+                if not flight.users:
+                    del self._inflight[key]
 
-    def _stored_payload(
-        self, context: RunContext, key: str
-    ) -> Optional[Dict[str, Any]]:
+    def _stored_payload(self, context: RunContext) -> Optional[Dict[str, Any]]:
         """A payload rebuilt from a completed identical run, if any."""
         if self.store is None:
             return None
-        base = context.run_name()
-        for run_id in self.store.run_ids():
-            if run_id != base and not run_id.startswith(base + "-"):
-                continue
-            try:
-                record = self.store.load(run_id)
-            except RunsError:  # robust: a damaged run directory means "no replay available", never a failed request — compute instead
-                continue
-            if not record.ok or record.context.run_key() != key:
-                continue
-            results = []
-            complete = True
-            for experiment_id in context.experiments:
-                result = record.results.get(experiment_id)
-                if result is None or not result.ok:
-                    complete = False
-                    break
-                results.append(result)
-            if not complete:
-                continue
-            return response_payload(context, results)
-        return None
+        results = stored_results(self.store, context)
+        return None if results is None else response_payload(context, results)
 
     def _compute_and_record(
         self, context: RunContext, request_id: str

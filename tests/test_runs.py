@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.robust.crashpoints import (
     disarm_all_crash_points,
 )
 from repro.runs import (
+    RUN_FILE,
     CorruptRunError,
     ExperimentResult,
     Market,
@@ -33,7 +35,9 @@ from repro.runs import (
     extract_metrics,
     open_market,
     resume_run,
+    stored_results,
 )
+from repro.runs import store as store_mod
 from repro.synth import MarketSimulator, SimulationConfig
 from repro.synth.cache import config_fingerprint, save_result
 
@@ -261,6 +265,30 @@ class TestRunStore:
         with pytest.raises(UnknownRunError, match="runs list"):
             RunStore(str(tmp_path)).load("no-such-run")
 
+    def test_interrupted_writer_leaves_no_phantom_run(
+        self, tiny_result, market, tmp_path, monkeypatch
+    ):
+        """A writer killed between staging and publication leaves its
+        ``<run>.tmp-<pid>`` sibling, ``run.json`` included; neither it
+        nor a displaced ``<run>.old-<pid>`` is a run."""
+        store = RunStore(str(tmp_path))
+        context = make_context(tiny_result.config, ["table1"])
+        record, _ = execute_run(store, context, market)
+
+        def killed(tmp, final):
+            raise InjectedCrash("writer died before publish_dir")
+
+        monkeypatch.setattr(store_mod, "publish_dir", killed)
+        with pytest.raises(InjectedCrash):
+            store.begin(context)
+        staged = f"{record.path}-2.tmp-{os.getpid()}"
+        assert os.path.isfile(os.path.join(staged, RUN_FILE))
+        assert store.run_ids() == [record.run_id]
+        assert [r.run_id for r in store.list_runs()] == [record.run_id]
+
+        shutil.copytree(record.path, f"{record.path}.old-12179")
+        assert store.run_ids() == [record.run_id]
+
     def test_filters(self, tiny_result, market, tmp_path):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1"])
@@ -273,6 +301,88 @@ class TestRunStore:
             == [record.run_id]
         assert [r.run_id for r in store.list_runs(status="complete")] \
             == [record.run_id]
+
+
+# --------------------------------------------------------------------- #
+# keyed lookup: a context's runs are found by probing its slots
+# --------------------------------------------------------------------- #
+
+
+def _record_run(store, context, failed=()):
+    """Record one sealed run of ``context``; ids in ``failed`` degrade."""
+    handle = store.begin(context)
+    for eid in context.experiments:
+        error = None
+        if eid in failed:
+            error = {"type": "Boom", "message": "", "traceback": "",
+                     "attempts": 1, "failures": 1}
+        handle.record(ExperimentResult(eid, eid, [f"{eid} n=1"], 0.0,
+                                       error=error))
+    return handle.finish()
+
+
+class TestKeyedLookup:
+    def test_a_miss_probes_one_slot_per_lookup(
+        self, tiny_result, tmp_path, tracer
+    ):
+        store = RunStore(str(tmp_path))
+        context = make_context(tiny_result.config, ["table1"])
+        assert store.find(context) is None
+        assert stored_results(store, context) is None
+        assert tracer.counters["runs.lookup_probes"] == 2
+
+    def test_results_come_back_in_context_order(self, tiny_result, tmp_path):
+        store = RunStore(str(tmp_path))
+        context = make_context(tiny_result.config, ["table1", "fig01"])
+        _record_run(store, context)
+        other = make_context(tiny_result.config, ["fig01", "table1"])
+        _record_run(store, other)
+        assert [r.experiment_id for r in stored_results(store, context)] \
+            == ["table1", "fig01"]
+        assert [r.experiment_id for r in stored_results(store, other)] \
+            == ["fig01", "table1"]
+
+    def test_slots_are_probed_in_ordinal_order(
+        self, tiny_result, tmp_path, tracer, monkeypatch
+    ):
+        store = RunStore(str(tmp_path))
+        context = make_context(tiny_result.config, ["table1"])
+        for _ in range(10):
+            store.begin(context)  # never sealed: "running", no replay
+        last = _record_run(store, context)
+        base = context.run_name()
+        assert last.run_id == f"{base}-11"
+
+        probed = []
+        real_load = store.load
+
+        def load(run_id, **kwargs):
+            probed.append(run_id)
+            return real_load(run_id, **kwargs)
+
+        monkeypatch.setattr(store, "load", load)
+        assert store.find(context).run_id == last.run_id
+        assert probed == [base] + [f"{base}-{n}" for n in range(2, 12)]
+        assert tracer.counters["runs.lookup_probes"] == 11
+
+    @pytest.mark.parametrize("damage", ["torn run.json", "failed run"])
+    def test_unusable_first_slot_falls_through(
+        self, tiny_result, tmp_path, damage
+    ):
+        store = RunStore(str(tmp_path))
+        context = make_context(tiny_result.config, ["table1", "fig01"])
+        failed = ("fig01",) if damage == "failed run" else ()
+        first = _record_run(store, context, failed=failed)
+        second = _record_run(store, context)
+        if damage == "torn run.json":
+            with open(os.path.join(first.path, RUN_FILE), "w",
+                      encoding="utf-8") as handle:
+                handle.write("{truncated")
+        else:
+            assert first.status == "failed"
+
+        assert store.find(context).run_id == second.run_id
+        assert os.path.isdir(first.path)  # skipped, not quarantined
 
 
 # --------------------------------------------------------------------- #

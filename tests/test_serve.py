@@ -1,4 +1,5 @@
-"""The serving layer: auth, rate limits, determinism, single-flight.
+"""The serving layer: auth, rate limits, determinism, single-flight,
+keyed run-store replay and the bounded memo.
 
 Everything runs through the in-process ASGI test client — no sockets —
 except one socket test against the bundled HTTP server.  Dataset work
@@ -8,10 +9,15 @@ uses a tiny scale (0.004, no posts) so each computed request is cheap.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
+from repro.obs.tracer import NullTracer, Tracer, set_tracer
+from repro.robust.quarantine import quarantine_dir
+from repro.runs import ExperimentResult, RunContext, RunStore
 from repro.serve import (
     BackgroundServer,
     ServeSettings,
@@ -246,6 +252,168 @@ class TestSingleFlight:
         replay = fresh_client.get(path, headers=AUTH)
         assert replay.status == 200
         assert replay.headers["x-serve-source"] == "store"
+
+
+def _exploding_compute(spec):
+    raise AssertionError("replay must not recompute")
+
+
+def _second_run_of(store, run_id):
+    """Record a copy of ``run_id`` into its key's next free slot."""
+    record = store.load(run_id)
+    handle = store.begin(record.context)
+    for result in record.results.values():
+        handle.record(result)
+    return handle.finish()
+
+
+class TestKeyedReplay:
+    def test_replay_never_lists_the_store(self, client, app, monkeypatch):
+        """300 unrelated runs beside the key's two: the store tier probes
+        the key's slots and never lists the store."""
+        path = f"/v1/dataset/summary?{MARKET}"
+        first = client.get(path, headers=AUTH)
+        assert first.headers["x-serve-source"] == "computed"
+        service = app.state["service"]
+        store = service.store
+        (run_id,) = store.run_ids()
+        _second_run_of(store, run_id)
+        for seed in range(300):
+            store.begin(service.build_context(
+                "serve-summary", ("summary",), 0.004, 10_000 + seed,
+                posts=False,
+            )).finish()
+
+        def no_listing(self):
+            raise AssertionError("a replay must not list the store")
+
+        monkeypatch.setattr(RunStore, "run_ids", no_listing)
+        monkeypatch.setattr(
+            services_mod, "_compute_results", _exploding_compute
+        )
+        replay = TestClient(create_app(app.state["settings"])).get(
+            path, headers=AUTH
+        )
+        assert replay.status == 200
+        assert replay.headers["x-serve-source"] == "store"
+        assert replay.body == first.body
+
+    def test_gap_recomputes_into_the_gap(self, client, app):
+        """A quarantined first slot ends the probe before ``-2``: the key
+        computes once more, lands in the gap and replays from there."""
+        path = f"/v1/slices/growth?{MARKET}"
+        first = client.get(path, headers=AUTH)
+        assert first.headers["x-serve-source"] == "computed"
+        store = app.state["service"].store
+        (base,) = store.run_ids()
+        assert _second_run_of(store, base).run_id == f"{base}-2"
+        assert quarantine_dir(store.path_for(base), counter="runs.corrupt")
+
+        again = TestClient(create_app(app.state["settings"])).get(
+            path, headers=AUTH
+        )
+        assert again.headers["x-serve-source"] == "computed"
+        assert again.body == first.body
+        assert store.run_ids() == [base, f"{base}-2"]
+        assert store.load(base).ok
+
+        replay = TestClient(create_app(app.state["settings"])).get(
+            path, headers=AUTH
+        )
+        assert replay.headers["x-serve-source"] == "store"
+        assert replay.body == first.body
+
+
+class TestBoundedMemo:
+    @pytest.fixture()
+    def service(self, monkeypatch):
+        """A store-less, in-process service whose compute is a stub that
+        records each seed it computes (``fail`` seeds degrade)."""
+        service = services_mod.MarketService(ServeSettings(
+            api_keys=(KEY,), use_run_store=False, use_fork=False,
+        ))
+        service.computed = []
+        service.fail = set()
+
+        def stub(spec):
+            seed = RunContext.from_payload(spec["context"]).seed
+            service.computed.append(seed)
+            time.sleep(0.001)
+            error = None
+            if seed in service.fail:
+                error = {"type": "Boom", "message": "", "traceback": "",
+                         "attempts": 1, "failures": 1}
+            return [ExperimentResult("summary", "dataset summary",
+                                     [f"seed {seed}"], 0.0, error=error)]
+
+        monkeypatch.setattr(services_mod, "_compute_results", stub)
+        return service
+
+    @staticmethod
+    def _context(service, seed):
+        return service.build_context(
+            "serve-summary", ("summary",), 0.004, seed, posts=False
+        )
+
+    def test_lru_cap_holds_and_hot_key_stays(self, service):
+        tracer = set_tracer(Tracer())
+        try:
+            hot = self._context(service, 1)
+            assert service.execute(hot).source == "computed"
+            largest = 0
+            for seed in range(2, 2002):
+                service.execute(self._context(service, seed))
+                if seed % 10 == 0:
+                    assert service.execute(hot).source == "memo"
+                largest = max(largest, len(service._memo))
+        finally:
+            set_tracer(NullTracer())
+        capacity = services_mod.MEMO_CAPACITY
+        assert largest == capacity
+        assert hot.run_key() in service._memo
+        assert service.computed.count(1) == 1
+        assert service._inflight == {}
+        assert tracer.counters["serve.memo_evicted"] == 2001 - capacity
+
+    def test_failed_key_drops_its_lock_unmemoized(self, service):
+        service.fail.add(5)
+        context = self._context(service, 5)
+        for _ in range(2):
+            reply = service.execute(context)
+            assert reply.source == "computed" and not reply.ok
+        assert service.computed == [5, 5]
+        assert service._inflight == {}
+        assert context.run_key() not in service._memo
+
+    def test_single_flight_under_contention(self, service):
+        """Eight threads on four keys with a short switch interval: each
+        key computes once and every lock is dropped at the end."""
+        contexts = [self._context(service, seed) for seed in range(4)]
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(100):
+                    service.execute(contexts[(i + offset) % 4])
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(service.computed) == [0, 1, 2, 3]
+        assert service._inflight == {}
 
 
 class TestRunStoreIntegration:
