@@ -17,6 +17,9 @@ throwaway cache/run-store roots, then checks the acceptance bar from
 * A burst beyond the token bucket draws 429 with an integral
   ``Retry-After``.
 * Unknown slices are 404, oversized scales 400.
+* The real ``python -m repro serve`` CLI, booted once in a child
+  process, answers ``/healthz`` and exits 0 within 5 s of SIGTERM (the
+  shutdown path a supervisor or the benchmark's server harness uses).
 
 Run via ``make api-smoke``; any failed check exits non-zero.
 """
@@ -25,9 +28,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import socket
+import subprocess
 import sys
 import tempfile
+import time
 
+import repro
 from repro.serve import BackgroundServer, ServeSettings, create_app
 
 KEY = "smoke-key"
@@ -135,7 +143,52 @@ def main() -> None:
         finally:
             client.close()
 
+    cli_shutdown(workdir)
     print("api smoke: all checks passed")
+
+
+def cli_shutdown(workdir):
+    """Boot ``python -m repro serve``, wait for ``/healthz``, SIGTERM it."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--no-auth",
+         "--port", str(port), "--cache-dir", f"{workdir}/cli-cache",
+         "--runs-dir", f"{workdir}/cli-runs"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        healthy = False
+        while (not healthy and proc.poll() is None
+               and time.monotonic() < deadline):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", port, timeout=5
+            )
+            try:
+                connection.request("GET", "/healthz")
+                healthy = connection.getresponse().status == 200
+            except OSError:
+                time.sleep(0.1)
+            finally:
+                connection.close()
+        check(healthy, "the repro serve CLI answers /healthz")
+        proc.terminate()
+        try:
+            code = proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            code = None
+        check(code == 0, "the repro serve CLI exits 0 within 5 s of SIGTERM")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10.0)
 
 
 if __name__ == "__main__":

@@ -89,9 +89,6 @@ __all__ = [
     "streaming_degree_growth",
 ]
 
-_MAX64 = np.iinfo(np.int64).max
-
-
 class StreamingKernel:
     """Base contract: fold partitions, merge states, emit the result."""
 
@@ -111,35 +108,35 @@ class StreamingKernel:
 
 
 class _MinById:
-    """Per-id running minimum (id -> smallest value seen); mergeable."""
+    """Per-id minimum value (id -> smallest value seen); mergeable.
+
+    Folds keep (ids, values) chunks as they come; ``value_counts``
+    reduces them once.
+    """
 
     def __init__(self) -> None:
-        self._min: Dict[int, int] = {}
+        self._ids: List[np.ndarray] = []
+        self._values: List[np.ndarray] = []
 
     def fold(self, ids: np.ndarray, values: np.ndarray) -> None:
         if not len(ids):
             return
-        unique, inverse = np.unique(ids, return_inverse=True)
-        best = np.full(len(unique), _MAX64, dtype=np.int64)
-        np.minimum.at(best, inverse, np.asarray(values, dtype=np.int64))
-        current = self._min
-        for key, value in zip(unique.tolist(), best.tolist()):
-            prior = current.get(key)
-            if prior is None or value < prior:
-                current[key] = value
+        self._ids.append(ids)
+        self._values.append(np.asarray(values, dtype=np.int64))
 
     def merge(self, other: "_MinById") -> None:
-        current = self._min
-        for key, value in other._min.items():
-            prior = current.get(key)
-            if prior is None or value < prior:
-                current[key] = value
+        self._ids.extend(other._ids)
+        self._values.extend(other._values)
 
     def value_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for value in self._min.values():
-            counts[value] = counts.get(value, 0) + 1
-        return counts
+        """How many ids have each minimum value."""
+        if not self._ids:
+            return {}
+        _, first = _first_months(
+            np.concatenate(self._ids), np.concatenate(self._values)
+        )
+        values, counts = np.unique(first, return_counts=True)
+        return dict(zip(values.tolist(), counts.tolist()))
 
 
 class _CountById:
@@ -554,19 +551,21 @@ class ConcentrationKernel(StreamingKernel):
 class DegreeGrowthKernel(StreamingKernel):
     """Incremental :func:`repro.network.degrees.degree_growth`.
 
-    Each partition dedups its own edges to (endpoint, endpoint, month)
-    triples — the compact state — and ``finalize`` dedups across
-    partitions (keeping each edge's earliest month) and replays the
-    cumulative degree arrays with the resident kernel's own replay.
-    Endpoint ids are remapped to dense codes at finalize; every
-    published value (averages, maxima) is invariant to the remap.
+    Each partition dedups its own edges over its own dense node codes:
+    the compact state is (sorted node ids, undirected edge keys
+    ``low * k + high``, directed keys ``src * k + dst``, month) with
+    ``k`` that month's node count.  Keys come from codes, never from
+    raw ids, whose stripes (up to ~3.3e12) would overflow int64 when
+    packed.  ``finalize`` maps each month's nodes into global codes
+    once, dedups across partitions (keeping each edge's earliest month)
+    and replays the cumulative degree arrays with the resident kernel's
+    own replay.  Every published value (averages, maxima) is invariant
+    to the relabeling.
     """
 
     def __init__(self, completed_only: bool = False) -> None:
         self.completed_only = completed_only
-        self._raw: List[Tuple[np.ndarray, np.ndarray, int]] = []
-        self._directed: List[Tuple[np.ndarray, np.ndarray, int]] = []
-        self._nodes: List[Tuple[np.ndarray, int]] = []
+        self._months: List[Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
 
     def update(self, partition: MonthPartition) -> None:
         maker = partition.maker_id.astype(np.int64)
@@ -579,54 +578,58 @@ class DegreeGrowthKernel(StreamingKernel):
             bidirectional = partition.is_bidirectional
         if not len(maker):
             return
-        month_idx = partition.month_idx
-        low = np.minimum(maker, taker)
-        high = np.maximum(maker, taker)
-        pairs = np.unique(np.stack([low, high], axis=1), axis=0)
-        self._raw.append((pairs[:, 0], pairs[:, 1], month_idx))
-        src = np.concatenate([maker, taker[bidirectional]])
-        dst = np.concatenate([taker, maker[bidirectional]])
-        arrows = np.unique(np.stack([src, dst], axis=1), axis=0)
-        self._directed.append((arrows[:, 0], arrows[:, 1], month_idx))
-        self._nodes.append((np.unique(np.concatenate([maker, taker])), month_idx))
+        nodes, codes = np.unique(
+            np.concatenate([maker, taker]), return_inverse=True
+        )
+        k = len(nodes)
+        maker_code, taker_code = codes[: len(maker)], codes[len(maker):]
+        raw = np.unique(
+            np.minimum(maker_code, taker_code) * k
+            + np.maximum(maker_code, taker_code)
+        )
+        src = np.concatenate([maker_code, taker_code[bidirectional]])
+        dst = np.concatenate([taker_code, maker_code[bidirectional]])
+        directed = np.unique(src * k + dst)
+        self._months.append((nodes, raw, directed, partition.month_idx))
 
     def merge(self, other: "DegreeGrowthKernel") -> "DegreeGrowthKernel":
-        self._raw.extend(other._raw)
-        self._directed.extend(other._directed)
-        self._nodes.extend(other._nodes)
+        self._months.extend(other._months)
         return self
 
     def finalize(self) -> List[DegreeGrowthPoint]:
-        if not self._nodes:
+        if not self._months:
             return []
-        node_ids = np.concatenate([ids for ids, _ in self._nodes])
-        codes = np.unique(node_ids)
-        n = len(codes)
+        all_nodes = np.unique(
+            np.concatenate([nodes for nodes, _, _, _ in self._months])
+        )
+        n = len(all_nodes)
+        raw_keys, directed_keys, node_codes = [], [], []
+        raw_months, directed_months, node_months = [], [], []
+        for nodes, raw, directed, month in self._months:
+            # Sorted local codes map to sorted global codes, so a
+            # local ``low < high`` stays ordered.
+            code = np.searchsorted(all_nodes, nodes)
+            k = len(nodes)
+            raw_keys.append(code[raw // k] * n + code[raw % k])
+            directed_keys.append(code[directed // k] * n + code[directed % k])
+            node_codes.append(code)
+            raw_months.append(np.full(len(raw), month, dtype=np.int64))
+            directed_months.append(
+                np.full(len(directed), month, dtype=np.int64)
+            )
+            node_months.append(np.full(k, month, dtype=np.int64))
 
-        def first_keys(edges):
-            keys = np.concatenate([
-                np.searchsorted(codes, a) * n + np.searchsorted(codes, b)
-                for a, b, _ in edges
-            ])
-            months = np.concatenate([
-                np.full(len(a), month, dtype=np.int64)
-                for a, _, month in edges
-            ])
-            return _first_months(keys, months)
-
-        raw = first_keys(self._raw)
-        directed = first_keys(self._directed)
-        node_months = np.concatenate([
-            np.full(len(ids), month, dtype=np.int64)
-            for ids, month in self._nodes
-        ])
-        _, node_first = _first_months(np.searchsorted(codes, node_ids), node_months)
-
-        months_present = [month for _, month in self._nodes]
+        months_present = [month for _, _, _, month in self._months]
         return _replay_degree_growth(
-            raw,
-            directed,
-            node_first,
+            _first_months(
+                np.concatenate(raw_keys), np.concatenate(raw_months)
+            ),
+            _first_months(
+                np.concatenate(directed_keys), np.concatenate(directed_months)
+            ),
+            _first_months(
+                np.concatenate(node_codes), np.concatenate(node_months)
+            )[1],
             months=range(min(months_present), max(months_present) + 1),
             n_users=n,
         )

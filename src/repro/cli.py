@@ -8,7 +8,7 @@ Usage::
     python -m repro report --scale 0.1 --parallel 4              # cached full suite
     python -m repro report --engine fastgen --gen-workers 4 --scale 1  # columnar
     python -m repro report --trace --scale 0.05                  # + timing tree/manifest
-    python -m repro report --store partitioned --scale 1         # via cache format v3
+    python -m repro report --store partitioned --scale 1         # via cache format v4
     python -m repro stream funnel --era covid-19 --scale 1       # opens 4 months only
     python -m repro stream growth --window 2019-03 2020-03       # windowed query
     python -m repro trace show run_manifest.json                 # render a manifest
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="resident",
                         help="dataset source: 'resident' caches monolithic "
                              "column files (format v2); 'partitioned' builds "
-                             "the month-partitioned store (format v3) and "
+                             "the month-partitioned store (format v4) and "
                              "materializes it for the resident experiments")
     report.add_argument("--trace", action="store_true",
                         help="record span timings and counters, print the "

@@ -1,4 +1,4 @@
-"""Month-partitioned on-disk dataset store (cache format v3).
+"""Month-partitioned on-disk dataset store (cache format v4).
 
 The paper's analyses are longitudinal: every figure folds the market
 month by month across the SET-UP/STABLE/COVID-19 eras.  A resident
@@ -10,7 +10,7 @@ only the months it touches.
 Layout of one store directory::
 
     <entry>/
-        manifest.json   # version 3, shard index, counts, sha256 checksums
+        manifest.json   # version 4, shard index, counts, sha256 checksums
         global.npz      # user_* / t_* / x_* columns (small, month-free)
         m000581.npz     # contracts/posts/ratings created in month 581
         m000582.npz     # (months since 1970-01; 581 == 2018-06)
@@ -20,12 +20,27 @@ Shards hold the cache column schema (``c_*``/``p_*``/``r_*`` keys, int64
 µs timestamps, :data:`~repro.core.columns.NAT_US` sentinel) and are
 written **uncompressed**, so members can be memory-mapped straight out
 of the zip container: opening a partition reads the manifest and the
-~100-byte npy headers, and column bytes hit RAM only when a kernel
-actually touches them.  Stores are published atomically
+zip directory, and a column's npy header and bytes are read only when a
+kernel touches that column.
+
+Text columns (``"str"`` in :data:`~repro.core.schema.COLUMN_SCHEMA`)
+are stored as two members, ``<key>.utf8`` (the rows' UTF-8 bytes
+back to back, uint8) and ``<key>.offsets`` (int64, rows + 1 entries;
+row ``i`` is ``utf8[offsets[i]:offsets[i + 1]]``), and decoded back to
+the fixed-width ``np.str_`` column only when a reader asks for that
+column.  Most rows are empty — at paper scale 26k of 190k contracts
+carry obligation text — so this costs the text's 3.6 MB instead of the
+211 MB its fixed-width UTF-32 members took in v3 (a 236.5 MB store
+became 34.9 MB).  The encoding is private to this module: writers
+hand in any sequence of ``str`` and readers get ``np.str_`` arrays.
+
+Stores are published atomically
 (:func:`repro.robust.atomic.publish_dir`), carry per-file sha256
-checksums verified on first open, and quarantine to
+checksums verified on first open (the bytes hashed are counted as
+``partition.verified_bytes``), and quarantine to
 ``<entry>.corrupt-<n>`` like the v2 cache (counted as
-``partition.corrupt``).
+``partition.corrupt``).  A store of another format version reads as a
+stale miss and is overwritten by the next build.
 
 Observability: every partition handed out bumps ``partition.opened`` —
 the counter the streaming tests assert on to prove a windowed query
@@ -35,13 +50,15 @@ resident table dict) bumps ``partition.materialized``.
 
 from __future__ import annotations
 
-import ast
 import json
 import os
+import re
 import shutil
 import struct
 import zipfile
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import (
+    BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -58,6 +75,7 @@ from .columns import (
 from .eras import Era, era_by_name
 from .lazy import ColumnBackedDataset
 from .schema import (
+    COLUMN_SCHEMA,
     CONTRACT_KEYS,
     GLOBAL_KEYS,
     POST_KEYS,
@@ -84,9 +102,11 @@ __all__ = [
     "write_tables",
 ]
 
-#: On-disk format version; v3 is the first partitioned layout (v1/v2
-#: are the monolithic ``data.npz`` entries of :mod:`repro.synth.cache`).
-PARTITION_FORMAT_VERSION = 3
+#: On-disk format version.  v3 was the first partitioned layout, with
+#: text as fixed-width UTF-32 members; v4 stores text as UTF-8 bytes
+#: plus row offsets (v1/v2 are the monolithic ``data.npz`` entries of
+#: :mod:`repro.synth.cache`).
+PARTITION_FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 GLOBAL_SHARD = "global.npz"
@@ -110,13 +130,85 @@ def _shard_name(month_idx: int) -> str:
     return f"m{month_idx:06d}.npz"
 
 
-def _as_storable(col: np.ndarray) -> np.ndarray:
-    """Object-dtype string columns become fixed-width unicode (the npz
-    must stay pickle-free); everything else passes through."""
-    arr = np.asarray(col)
-    if arr.dtype == object:
-        return arr.astype(np.str_)
-    return arr
+#: Columns stored as UTF-8 bytes plus row offsets instead of one array.
+_TEXT_KEYS = frozenset(
+    key for key, kind in COLUMN_SCHEMA.items() if kind == "str"
+)
+_UTF8 = ".utf8"
+_OFFSETS = ".offsets"
+
+#: A column as handed to the writer: an array, or a sequence of ``str``
+#: for a text column (streamgen passes its Python lists as they are).
+ColumnLike = Union[np.ndarray, Sequence[str]]
+
+
+def _encode_text(values: ColumnLike) -> Tuple[np.ndarray, np.ndarray]:
+    """One text column as (UTF-8 bytes, int64 row offsets).
+
+    Only the non-empty rows are encoded; an empty row adds no bytes and
+    repeats its offset, so no padded array is ever built.
+    """
+    rows = values.tolist() if isinstance(values, np.ndarray) else values
+    lengths = np.zeros(len(rows) + 1, dtype=np.int64)
+    filled = np.flatnonzero(
+        np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    )
+    encoded = [rows[i].encode("utf-8") for i in filled.tolist()]
+    lengths[filled + 1] = np.fromiter(
+        map(len, encoded), dtype=np.int64, count=len(encoded)
+    )
+    data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return data, np.cumsum(lengths)
+
+
+def _decode_text(pieces: Sequence[Tuple[np.ndarray, np.ndarray]]
+                 ) -> np.ndarray:
+    """The fixed-width ``np.str_`` column that :func:`_encode_text`
+    encoded as ``pieces`` of (UTF-8 bytes, row offsets), in order.
+
+    The bytes of the non-empty rows are decoded in one call and their
+    code points scattered into a UTF-32 array as wide as the longest
+    row (at least 1, as ``np.asarray(values, dtype=np.str_)`` gives),
+    so no Python object is built per row and several shards' pieces
+    become one column without an intermediate column per shard.
+    """
+    raw = b"".join(data.tobytes() for data, _ in pieces)
+    shifts = np.cumsum([0] + [len(data) for data, _ in pieces])
+    offsets = np.concatenate([np.zeros(1, dtype=np.int64)] + [
+        np.asarray(piece_offsets[1:]) + shift
+        for (_, piece_offsets), shift in zip(pieces, shifts)
+    ])
+    utf8 = np.frombuffer(raw, dtype=np.uint8)
+    codes = np.frombuffer(
+        raw.decode("utf-8").encode("utf-32-le"), dtype="<u4"
+    )
+    # A row's first character sits at its byte offset less the UTF-8
+    # continuation bytes before it.
+    continuation = np.zeros(len(utf8) + 1, dtype=np.int64)
+    np.cumsum((utf8 & 0xC0) == 0x80, out=continuation[1:])
+    starts = offsets - continuation[offsets]
+    lengths = np.diff(starts)
+    width = max(int(lengths.max(initial=0)), 1)
+    out = np.zeros((len(lengths), width), dtype="<u4")
+    out.ravel()[
+        np.arange(len(codes))
+        + np.repeat(np.arange(len(lengths)) * width - starts[:-1], lengths)
+    ] = codes
+    return out.view(f"<U{width}").reshape(len(lengths))
+
+
+def _members(tables: Dict[str, ColumnLike], keys: Sequence[str]
+             ) -> Dict[str, np.ndarray]:
+    """The npz members for ``keys`` of ``tables`` (text split in two)."""
+    members: Dict[str, np.ndarray] = {}
+    for key in keys:
+        if key in _TEXT_KEYS:
+            data, offsets = _encode_text(tables[key])
+            members[key + _UTF8] = data
+            members[key + _OFFSETS] = offsets
+        else:
+            members[key] = np.asarray(tables[key])
+    return members
 
 
 # --------------------------------------------------------------------- #
@@ -124,18 +216,19 @@ def _as_storable(col: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
-def _npz_member_index(path: str) -> Dict[str, tuple]:
-    """Map member name -> (data_offset, dtype, shape, fortran) for every
-    ZIP_STORED npy member of an uncompressed npz.
+def _npz_member_index(path: str) -> Dict[str, int]:
+    """Map member name -> offset of its npy stream, for every ZIP_STORED
+    npy member of an uncompressed npz.
 
     ``np.load(..., mmap_mode=...)`` refuses zip containers, but a shard
     written by :class:`PartitionWriter` stores members uncompressed, so
-    the npy payload is a contiguous byte range of the archive file and
-    ``np.memmap`` can map it directly.  Members this parser cannot
-    handle (compressed, exotic npy version) are simply left out; the
-    reader falls back to ``np.load`` for them.
+    each npy stream is a contiguous byte range of the archive file.
+    Only the zip directory and local headers are read here; a member's
+    npy header is parsed when the member is first read
+    (:func:`_npy_layout`).  Compressed members are left out; the reader
+    falls back to ``np.load`` for them.
     """
-    index: Dict[str, tuple] = {}
+    index: Dict[str, int] = {}
     with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
         for info in archive.infolist():
             name = info.filename
@@ -148,31 +241,42 @@ def _npz_member_index(path: str) -> Dict[str, tuple]:
             if len(local) != 30 or local[:4] != b"PK\x03\x04":
                 continue
             name_len, extra_len = struct.unpack("<HH", local[26:30])
-            payload = info.header_offset + 30 + name_len + extra_len
-            handle.seek(payload)
-            magic = handle.read(8)
-            if magic[:6] != b"\x93NUMPY":
-                continue
-            major = magic[6]
-            if major == 1:
-                (header_len,) = struct.unpack("<H", handle.read(2))
-                data_offset = payload + 10 + header_len
-            else:
-                (header_len,) = struct.unpack("<I", handle.read(4))
-                data_offset = payload + 12 + header_len
-            try:
-                header = ast.literal_eval(
-                    handle.read(header_len).decode("latin1").strip()
-                )
-                dtype = np.dtype(header["descr"])
-            except (ValueError, SyntaxError, KeyError, TypeError):
-                continue
-            if dtype.hasobject:
-                continue  # pickled members can never be mapped
             index[name[: -len(".npy")]] = (
-                data_offset, dtype, header["shape"], header["fortran_order"],
+                info.header_offset + 30 + name_len + extra_len
             )
     return index
+
+
+#: The npy header ``np.savez`` writes for a plain (non-structured) array.
+_NPY_HEADER = re.compile(
+    r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
+    r"'shape': \(([0-9, ]*)\), \}"
+)
+
+
+def _npy_layout(handle: BinaryIO, payload: int) -> Optional[tuple]:
+    """(data_offset, dtype, shape, fortran) of the npy stream at
+    ``payload``, or ``None`` for one that cannot be mapped in place."""
+    handle.seek(payload)
+    magic = handle.read(8)
+    if magic[:6] != b"\x93NUMPY":
+        return None
+    if magic[6] == 1:
+        (header_len,) = struct.unpack("<H", handle.read(2))
+        data_offset = payload + 10 + header_len
+    else:
+        (header_len,) = struct.unpack("<I", handle.read(4))
+        data_offset = payload + 12 + header_len
+    match = _NPY_HEADER.match(handle.read(header_len).decode("latin1"))
+    if match is None:
+        return None
+    dtype = np.dtype(match.group(1))
+    if dtype.hasobject:
+        return None  # pickled members can never be mapped
+    shape = tuple(
+        int(dim) for dim in match.group(3).split(",") if dim.strip()
+    )
+    return data_offset, dtype, shape, match.group(2) == "True"
 
 
 class _ShardFile:
@@ -180,7 +284,10 @@ class _ShardFile:
 
     Columns are materialized (as read-only memmaps where possible, via
     ``np.load`` otherwise) on first access and memoized; an untouched
-    column costs nothing beyond its ~100-byte header parse at open.
+    column costs nothing beyond its zip directory entry.  A text column
+    is decoded from its two members on first access.  Each member gets
+    its own map: one map over the whole shard would let page faults map
+    the neighbouring, unread members too, and count them as resident.
     """
 
     def __init__(self, path: str) -> None:
@@ -195,37 +302,50 @@ class _ShardFile:
         found = self._cols.get(key)
         if found is not None:
             return found
-        entry = self._index.get(key)
-        try:
-            if entry is not None:
-                offset, dtype, shape, fortran = entry
-                if dtype.itemsize == 0 or int(np.prod(shape)) == 0:
-                    # mmap cannot map zero bytes; an empty column needs
-                    # no backing anyway.
-                    col = np.empty(shape, dtype=dtype)
-                else:
-                    order = "F" if fortran else "C"
-                    col = np.memmap(
-                        self.path, dtype=dtype, mode="r", offset=offset,
-                        shape=shape, order=order,
-                    )
-            else:
-                with np.load(self.path) as data:
-                    col = data[key]
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-            raise CorruptStoreError(
-                f"undecodable column {key!r} in {self.path}: {exc!r}"
-            ) from exc
+        if key in _TEXT_KEYS:
+            col = _decode_column(key, [self])
+        else:
+            col = self._member(key)
         self._cols[key] = col
         return col
 
-    def keys(self) -> List[str]:
-        with zipfile.ZipFile(self.path) as archive:
-            return [
-                name[: -len(".npy")]
-                for name in archive.namelist()
-                if name.endswith(".npy")
-            ]
+    def text(self, key: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Text column ``key`` as its stored (UTF-8 bytes, row offsets)."""
+        return self._member(key + _UTF8), self._member(key + _OFFSETS)
+
+    def _member(self, name: str) -> np.ndarray:
+        payload = self._index.get(name)
+        try:
+            with open(self.path, "rb") as handle:
+                layout = (
+                    None if payload is None else _npy_layout(handle, payload)
+                )
+                if layout is not None:
+                    offset, dtype, shape, fortran = layout
+                    if dtype.itemsize == 0 or int(np.prod(shape)) == 0:
+                        # mmap cannot map zero bytes; an empty column
+                        # needs no backing anyway.
+                        return np.empty(shape, dtype=dtype)
+                    return np.memmap(
+                        handle, dtype=dtype, mode="r", offset=offset,
+                        shape=shape, order="F" if fortran else "C",
+                    )
+            with np.load(self.path) as data:
+                return data[name]
+        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise CorruptStoreError(
+                f"undecodable member {name!r} in {self.path}: {exc!r}"
+            ) from exc
+
+
+def _decode_column(key: str, shards: Sequence[_ShardFile]) -> np.ndarray:
+    """Text column ``key`` of ``shards``, concatenated in order."""
+    try:
+        return _decode_text([shard.text(key) for shard in shards])
+    except (ValueError, IndexError) as exc:  # UnicodeDecodeError included
+        raise CorruptStoreError(
+            f"undecodable text column {key!r}: {exc!r}"
+        ) from exc
 
 
 # --------------------------------------------------------------------- #
@@ -444,6 +564,9 @@ class PartitionStore:
             raise CorruptStoreError(f"missing shard {name}")
         if expected is not None:
             digest = sha256_file(full)
+            get_tracer().count(
+                "partition.verified_bytes", os.path.getsize(full)
+            )
             if digest != expected:
                 raise CorruptStoreError(
                     f"checksum mismatch on {name} "
@@ -518,7 +641,7 @@ class PartitionStore:
             get_tracer().count("partition.global_opened")
             self._verify(GLOBAL_SHARD)
             shard = _ShardFile(os.path.join(self.path, GLOBAL_SHARD))
-            self._global = {key: shard[key] for key in shard.keys()}
+            self._global = {key: shard[key] for key in GLOBAL_KEYS}
         return self._global
 
     def tables(self) -> Dict[str, np.ndarray]:
@@ -527,15 +650,16 @@ class PartitionStore:
         partitioning — prefer ``iter_months`` — but legacy object-path
         consumers need it."""
         out: Dict[str, np.ndarray] = dict(self.global_tables())
-        chunks: Dict[str, List[np.ndarray]] = {key: [] for key in _SHARD_KEYS}
-        for part in self.iter_months():
-            for key in _SHARD_KEYS:
-                chunks[key].append(part.col(key))
-        for key, pieces in chunks.items():
-            if pieces:
-                out[key] = np.concatenate(pieces)
+        parts = list(self.iter_months())
+        for key in _SHARD_KEYS:
+            if key in _TEXT_KEYS:
+                out[key] = _decode_column(
+                    key, [self._shards[part.month_idx] for part in parts]
+                )
+            elif parts:
+                out[key] = np.concatenate([part.col(key) for part in parts])
             else:
-                out[key] = _empty_shard_tables()[key]
+                out[key] = empty_column(key)
         return out
 
     def materialize(self) -> ColumnBackedDataset:
@@ -609,11 +733,12 @@ class PartitionWriter:
         self._global_written = False
         self._finalized = False
 
-    def add_month(self, month_idx: int, tables: Dict[str, np.ndarray]) -> None:
+    def add_month(self, month_idx: int, tables: Dict[str, ColumnLike]) -> None:
         """Write one month shard (``c_*``/``p_*``/``r_*`` keys).
 
         Missing keys are filled with schema-complete empty columns, so a
-        month with contracts but no posts still round-trips.
+        month with contracts but no posts still round-trips.  A text
+        column may be any sequence of ``str``.
         """
         month_idx = int(month_idx)
         if self._months and month_idx <= self._months[-1]["month"]:
@@ -621,16 +746,16 @@ class PartitionWriter:
                 f"months must be appended in increasing order "
                 f"(got {month_idx} after {self._months[-1]['month']})"
             )
-        full = dict(_empty_shard_tables())
+        full: Dict[str, ColumnLike] = dict(_empty_shard_tables())
         for key, col in tables.items():
             if key not in full:
                 raise KeyError(f"unknown shard column {key!r}")
-            full[key] = _as_storable(col)
+            full[key] = col
         name = _shard_name(month_idx)
         path = os.path.join(self.stage, name)
         # Uncompressed container: members stay ZIP_STORED so the reader
         # can memory-map them in place.
-        np.savez(path, **full)
+        np.savez(path, **_members(full, SHARD_KEYS))
         self._months.append({
             "month": month_idx,
             "file": name,
@@ -642,10 +767,12 @@ class PartitionWriter:
         })
         get_tracer().count("partition.written")
 
-    def set_global(self, tables: Dict[str, np.ndarray]) -> None:
+    def set_global(self, tables: Dict[str, ColumnLike]) -> None:
         """Write the month-free tables (users/threads/ledger)."""
-        full = {key: _as_storable(tables[key]) for key in GLOBAL_KEYS}
-        np.savez(os.path.join(self.stage, GLOBAL_SHARD), **full)
+        np.savez(
+            os.path.join(self.stage, GLOBAL_SHARD),
+            **_members(tables, GLOBAL_KEYS),
+        )
         self._global_written = True
 
     def finalize(self) -> str:
@@ -691,10 +818,10 @@ def partition_tables(tables: Dict[str, np.ndarray]):
     bucket by creation month, posts and ratings by their own creation
     stamps.  Row order within a month is preserved, so a partitioned
     store materializes back to the same tables in month-major order.
-    This is the object-engine path into cache format v3 (the fastgen
-    engine streams shards directly instead).
+    This is the object-engine path into the partitioned cache format
+    (the fastgen engine streams shards directly instead).
     """
-    global_tables = {key: _as_storable(tables[key]) for key in GLOBAL_KEYS}
+    global_tables = {key: tables[key] for key in GLOBAL_KEYS}
     c_months = month_indexes_of(np.asarray(tables["c_created_us"], np.int64))
     p_months = month_indexes_of(np.asarray(tables["p_created_us"], np.int64))
     r_months = month_indexes_of(np.asarray(tables["r_created_us"], np.int64))
@@ -707,13 +834,13 @@ def partition_tables(tables: Dict[str, np.ndarray]):
         shard: Dict[str, np.ndarray] = {}
         c_rows = np.nonzero(c_months == month_idx)[0]
         for key in CONTRACT_KEYS:
-            shard[key] = _as_storable(np.asarray(tables[key])[c_rows])
+            shard[key] = np.asarray(tables[key])[c_rows]
         p_rows = np.nonzero(p_months == month_idx)[0]
         for key in POST_KEYS:
-            shard[key] = _as_storable(np.asarray(tables[key])[p_rows])
+            shard[key] = np.asarray(tables[key])[p_rows]
         r_rows = np.nonzero(r_months == month_idx)[0]
         for key in RATING_KEYS:
-            shard[key] = _as_storable(np.asarray(tables[key])[r_rows])
+            shard[key] = np.asarray(tables[key])[r_rows]
         shards[month_idx] = shard
     return global_tables, shards
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -376,21 +377,33 @@ class RunStore:
         try:
             base = context.run_name()
             run_id, final = self._allocate(base)
+            run_json = json.dumps(
+                _run_payload(
+                    run_id=run_id,
+                    status="running",
+                    context=context,
+                    planned=list(context.experiments),
+                    created_unix=created_unix,
+                ),
+                indent=2,
+                sort_keys=True,
+            ) + "\n"
             tmp = staging_dir(final)
-            os.makedirs(os.path.join(tmp, _RESULTS_DIR))
-            os.makedirs(os.path.join(tmp, _ARTIFACTS_DIR))
-            payload = _run_payload(
-                run_id=run_id,
-                status="running",
-                context=context,
-                planned=list(context.experiments),
-                created_unix=created_unix,
-            )
-            _atomic_write_text(
-                os.path.join(tmp, RUN_FILE),
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            )
-            publish_dir(tmp, final)
+            if os.path.exists(tmp):
+                # Left by a begin of this slot under the same pid that
+                # stopped between staging and publication.
+                shutil.rmtree(tmp)
+            try:
+                os.makedirs(os.path.join(tmp, _RESULTS_DIR))
+                os.makedirs(os.path.join(tmp, _ARTIFACTS_DIR))
+                _atomic_write_text(os.path.join(tmp, RUN_FILE), run_json)
+                publish_dir(tmp, final)
+            except OSError:
+                # A failed write or rename (ENOSPC from fsync, say) must
+                # not leave the staging dir behind; a killed process
+                # leaves it to the pre-clear above.
+                shutil.rmtree(tmp, ignore_errors=True)
+                raise
         finally:
             lock.release()
         get_tracer().count("runs.started")

@@ -16,6 +16,7 @@ benchmark harness and smoke tests (``port=0`` picks a free port).
 from __future__ import annotations
 
 import asyncio
+import signal
 import threading
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -196,9 +197,8 @@ def _connection_handler(
     return handle
 
 
-async def _serve(app: App, host: str, port: int,
-                 started: Optional["_StartedCallback"] = None,
-                 stop_event: Optional[asyncio.Event] = None) -> None:
+async def _serve(app: App, host: str, port: int, stop_event: asyncio.Event,
+                 started: Optional["_StartedCallback"] = None) -> None:
     server = await asyncio.start_server(
         _connection_handler(app),
         host=host,
@@ -211,21 +211,31 @@ async def _serve(app: App, host: str, port: int,
     if started is not None:
         started(bound_port)
     async with server:
-        if stop_event is None:
-            await server.serve_forever()
-        else:
-            await stop_event.wait()
+        await stop_event.wait()
 
 
 _StartedCallback = Callable[[int], None]
 
 
 def serve_forever(app: App, host: str = "127.0.0.1", port: int = 8151) -> None:
-    """Run the server until interrupted (the CLI entry point)."""
+    """Run the server until SIGINT or SIGTERM (the CLI entry point).
+
+    Both signals get loop handlers that end the server cleanly, also
+    when SIGINT was inherited as ignored, as it is for a background job
+    of a non-interactive shell.
+    """
+
+    async def main() -> None:
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
+        await _serve(app, host, port, stop)
+
     try:
-        asyncio.run(_serve(app, host, port))
+        asyncio.run(main())
     except KeyboardInterrupt:
-        pass  # Ctrl-C is the intended shutdown path for a foreground server
+        pass  # Ctrl-C before the loop's handlers are installed
 
 
 class BackgroundServer:
@@ -261,8 +271,7 @@ class BackgroundServer:
                 self._ready.set()
 
             await _serve(
-                self.app, self.host, self.port,
-                started=started, stop_event=self._stop,
+                self.app, self.host, self.port, self._stop, started=started,
             )
 
         asyncio.run(runner())

@@ -438,7 +438,7 @@ def cached_generate(
 
 
 # --------------------------------------------------------------------- #
-# Cache format v3: month-partitioned stores
+# Cache format v4: month-partitioned stores
 # --------------------------------------------------------------------- #
 
 def result_from_partitioned_store(store, config: SimulationConfig) -> SimulationResult:
@@ -455,10 +455,13 @@ def result_from_partitioned_store(store, config: SimulationConfig) -> Simulation
 def partitioned_cache_path(
     config: SimulationConfig, cache_dir: Optional[str] = None
 ) -> str:
-    """Directory holding the *partitioned* (format v3) entry for ``config``.
+    """Directory holding the *partitioned* entry for ``config``.
 
     Lives beside the monolithic v2 entry under the same cache root, with
-    a ``p3`` marker in the name so the two formats never collide.
+    a ``-p3`` marker in the name so the two families never collide.  The
+    marker names the partitioned family, not its format version (now
+    v4): a store of an older version at this path reads as a stale miss
+    and the next build overwrites it.
     """
     root = cache_dir or default_cache_dir()
     fingerprint = config_fingerprint(config)

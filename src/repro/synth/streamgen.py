@@ -84,11 +84,11 @@ def _merge_month_chunks(
             for i, chunk in enumerate(chunks)
         ])
 
-    def cat_strs(key: str) -> np.ndarray:
+    def cat_strs(key: str) -> List[str]:
         values: List[str] = []
         for chunk in chunks:
             values.extend(chunk[key])
-        return np.asarray(values, dtype=np.str_)
+        return values
 
     n_contracts = sum(len(chunk["c_type"]) for chunk in chunks)
     n_posts = sum(len(chunk["p_thread"]) for chunk in chunks)
@@ -129,7 +129,7 @@ def _merge_month_chunks(
     return shard, next_contract_id + n_contracts, next_post_id + n_posts
 
 
-def _merge_global(generators: List[_CohortGenerator]) -> Dict[str, np.ndarray]:
+def _merge_global(generators: List[_CohortGenerator]) -> Dict[str, object]:
     """Month-free tables from the finished cohorts (striped ids)."""
     lifetimes = [gen.lifetime_dict() for gen in generators]
 
@@ -165,16 +165,14 @@ def _merge_global(generators: List[_CohortGenerator]) -> Dict[str, np.ndarray]:
         "user_id": np.concatenate(user_ids),
         "user_joined_us": np.concatenate(joined),
         "user_first_post_us": np.concatenate(first_post),
-        "user_class": np.concatenate(classes).astype(np.str_),
+        "user_class": np.concatenate(classes),
         "t_id": np.concatenate(t_ids),
         "t_author": np.concatenate(t_authors),
         "t_created_us": np.concatenate(t_created),
-        "t_title": np.asarray(t_titles, dtype=np.str_),
+        "t_title": t_titles,
         "t_marketplace": np.ones(n_threads_total, dtype=np.bool_),
-        "x_txhash": np.asarray(
-            [make_txhash(int(seed)) for seed in seeds], dtype=np.str_
-        ),
-        "x_address": np.asarray(x_address, dtype=np.str_),
+        "x_txhash": [make_txhash(int(seed)) for seed in seeds],
+        "x_address": x_address,
         "x_timestamp_us": np.concatenate(x_when),
         "x_btc": np.concatenate(x_btc),
     }

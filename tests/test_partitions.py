@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -28,10 +29,11 @@ from repro.core.partitions import (
     partition_tables,
     write_tables,
 )
+from repro.core.schema import COLUMN_SCHEMA
 from repro.core.timeutils import Month
 from repro.obs import disable_tracing, enable_tracing
 from repro.synth import SimulationConfig
-from repro.synth.cache import cached_generate
+from repro.synth.cache import cached_generate, cached_partitioned_store
 from repro.synth.fastgen import generate_market_fast
 
 SCALE = 0.02
@@ -179,6 +181,68 @@ class TestManifest:
         os.remove(os.path.join(broken, store.manifest["months"][0]["file"]))
         with pytest.raises(CorruptStoreError):
             store.partition(store.months[0])
+
+
+def _payload_bytes(archive: zipfile.ZipFile, key: str) -> int:
+    """Bytes the members storing column ``key`` hold beyond npy headers."""
+    total = 0
+    for info in archive.infolist():
+        if not info.filename.startswith(key + "."):
+            continue
+        with archive.open(info) as member:
+            version = np.lib.format.read_magic(member)
+            if version == (1, 0):
+                np.lib.format.read_array_header_1_0(member)
+            else:
+                np.lib.format.read_array_header_2_0(member)
+            total += info.file_size - member.tell()
+    return total
+
+
+class TestTextLayout:
+    def test_text_members_cost_their_utf8_bytes(self, store):
+        """Text is stored as its UTF-8 bytes plus int64 row offsets,
+        without fixed-width padding (~60x the text as UTF-32)."""
+        text = {k for k, kind in COLUMN_SCHEMA.items() if kind == "str"}
+        shards = [(GLOBAL_SHARD, store.global_tables())]
+        for entry in store.manifest["months"]:
+            part = store.partition(entry["month"])
+            shards.append((entry["file"], {
+                key: part.col(key) for key in text if key.startswith("c_")
+            }))
+        for name, columns in shards:
+            with zipfile.ZipFile(os.path.join(store.path, name)) as archive:
+                for key in sorted(text & set(columns)):
+                    rows = columns[key].tolist()
+                    utf8 = sum(len(row.encode("utf-8")) for row in rows)
+                    assert _payload_bytes(archive, key) <= \
+                        utf8 + 8 * (len(rows) + 1), (name, key)
+
+
+class TestFormatVersion:
+    def test_v3_store_at_the_entry_is_a_stale_miss(self, tmp_path):
+        """A store of the previous format at the entry path reads as a
+        plain miss (not corruption) and is rebuilt in place."""
+        kwargs = dict(scale=0.004, seed=SEED, cache_dir=str(tmp_path),
+                      generate_posts=False)
+        built, hit = cached_partitioned_store(**kwargs)
+        assert not hit
+        manifest_path = os.path.join(built.path, MANIFEST_NAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["version"] = 3
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+
+        tracer = enable_tracing()
+        rebuilt, hit = cached_partitioned_store(**kwargs)
+        counters = tracer.snapshot()["counters"]
+        assert not hit
+        assert counters.get("cache.misses") == 1
+        assert counters.get("partition.corrupt") is None
+        assert not [n for n in os.listdir(tmp_path) if ".corrupt-" in n]
+        assert rebuilt.path == built.path
+        assert rebuilt.manifest["version"] == PARTITION_FORMAT_VERSION
 
 
 class TestSelection:

@@ -2,11 +2,14 @@
 
 import datetime as dt
 import math
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.partitions import PartitionStore, PartitionWriter
+from repro.core.schema import GLOBAL_KEYS, empty_column
 from repro.core.timeutils import Month, add_months, month_of, month_range
 from repro.report.tables import render_table
 from repro.stats.descriptive import gini, herfindahl, lorenz_curve, top_share
@@ -171,3 +174,43 @@ class TestRenderTableProperties:
     def test_consistent_line_count(self, rows):
         lines = render_table(["a", "b"], rows)
         assert len(lines) == 2 + len(rows)
+
+
+#: Text a stored column can hold: UTF-8 encodable (no lone surrogates)
+#: and NUL-free, as NUL is the ``np.str_`` padding character.
+nul_free_text = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_characters="\x00")
+)
+
+
+class TestPartitionTextProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(nul_free_text, max_size=8), min_size=1, max_size=4),
+        st.lists(nul_free_text, max_size=8),
+    )
+    @example(months=[[]], titles=[])  # zero-row month, empty global column
+    @example(months=[["", ""], [], [""]], titles=["", ""])  # all empty
+    @example(months=[["é", "", "€ 50"], ["𝄞 ok", "日本語"]], titles=["ß"])
+    def test_text_columns_round_trip(self, months, titles):
+        with tempfile.TemporaryDirectory() as root:
+            writer = PartitionWriter(f"{root}/store")
+            next_id = 0
+            for offset, texts in enumerate(months):
+                writer.add_month(600 + offset, {
+                    "c_id": np.arange(next_id, next_id + len(texts)),
+                    "c_terms": texts,
+                    "c_btc_txhash": [text[::-1] for text in texts],
+                })
+                next_id += len(texts)
+            global_tables = {key: empty_column(key) for key in GLOBAL_KEYS}
+            global_tables["t_title"] = titles
+            writer.set_global(global_tables)
+            writer.finalize()
+
+            tables = PartitionStore.open(f"{root}/store").tables()
+        flat = [text for texts in months for text in texts]
+        assert tables["c_terms"].tolist() == flat
+        assert tables["c_btc_txhash"].tolist() == [t[::-1] for t in flat]
+        assert tables["t_title"].tolist() == titles
+        assert tables["c_terms"].dtype == np.asarray(flat, dtype=np.str_).dtype

@@ -289,6 +289,32 @@ class TestRunStore:
         shutil.copytree(record.path, f"{record.path}.old-12179")
         assert store.run_ids() == [record.run_id]
 
+    def test_failed_begin_does_not_block_the_slot(
+        self, tiny_result, tmp_path, monkeypatch
+    ):
+        """A begin whose publication fails with ENOSPC cleans up its
+        staging dir, so the next begin of the same slot succeeds (a
+        long-lived server keeps recording that key)."""
+        store = RunStore(str(tmp_path))
+        context = make_context(tiny_result.config, ["table1"])
+        real_publish = store_mod.publish_dir
+        failures = []
+
+        def full_disk_once(tmp, final):
+            if not failures:
+                failures.append(final)
+                raise OSError(28, "No space left on device")
+            return real_publish(tmp, final)
+
+        monkeypatch.setattr(store_mod, "publish_dir", full_disk_once)
+        with pytest.raises(OSError):
+            store.begin(context)
+        handle = store.begin(context)
+        assert failures == [handle.path]
+        assert store.run_ids() == [handle.run_id]
+        assert not [name for name in os.listdir(str(tmp_path))
+                    if ".tmp-" in name]
+
     def test_filters(self, tiny_result, market, tmp_path):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1"])

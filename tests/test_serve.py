@@ -1,20 +1,26 @@
 """The serving layer: auth, rate limits, determinism, single-flight,
-keyed run-store replay and the bounded memo.
+keyed run-store replay, the bounded memo and signal shutdown.
 
 Everything runs through the in-process ASGI test client — no sockets —
-except one socket test against the bundled HTTP server.  Dataset work
+except one socket test against the bundled HTTP server and one against
+the ``repro serve`` CLI in a child process.  Dataset work
 uses a tiny scale (0.004, no posts) so each computed request is cheap.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import socket
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.obs.tracer import NullTracer, Tracer, set_tracer
 from repro.robust.quarantine import quarantine_dir
 from repro.runs import ExperimentResult, RunContext, RunStore
@@ -539,3 +545,47 @@ class TestHttpServer:
                 assert second.read() == first_body
             finally:
                 connection.close()
+
+    def test_cli_stops_on_sigint_inherited_as_ignored(self, tmp_path):
+        """``repro serve`` started as a background job of a
+        non-interactive shell (SIGINT ignored) still exits 0 on SIGINT."""
+        import http.client
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--no-auth",
+             "--port", str(port), "--cache-dir", str(tmp_path / "cache"),
+             "--runs-dir", str(tmp_path / "runs")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            healthy = False
+            while not healthy and time.monotonic() < deadline:
+                assert proc.poll() is None, proc.stderr.read().decode()
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", port, timeout=5
+                )
+                try:
+                    connection.request("GET", "/healthz")
+                    healthy = connection.getresponse().status == 200
+                except OSError:
+                    time.sleep(0.1)
+                finally:
+                    connection.close()
+            assert healthy, "server never answered /healthz"
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=5.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+            proc.stderr.close()
