@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-faults runs-smoke api-smoke lint lint-changed docscheck typecheck bench bench-smoke bench-gen-smoke bench-stream bench-stream-smoke reproduce reproduce-full clean
+.PHONY: install test test-faults runs-smoke api-smoke lint lint-changed docscheck typecheck reproduce reproduce-full clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -54,46 +54,17 @@ docscheck:
 typecheck:
 	$(PYTHON) -m mypy
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Quick perf gate: generation throughput, with GC disabled and a
-# machine-readable report for regression diffs.
-bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_generation.py \
-		--benchmark-only --benchmark-disable-gc \
-		--benchmark-json=BENCH_smoke.json
-
-# Generation-engine gate: object vs columnar (fastgen) vs sharded at
-# smoke and 10x-smoke scale, checked against the committed baseline
-# (fails on a >2x slowdown; refresh with check_gen_regression.py --update).
-bench-gen-smoke:
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) benchmarks/bench_fastgen.py \
-		--tenx --out BENCH_gen_smoke.json
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) benchmarks/check_gen_regression.py \
-		BENCH_gen_smoke.json
-
-# Resident-vs-partitioned query benchmark: wall time + peak RSS (each
-# scenario in its own forked child) for full-history and single-era
-# queries.  The smoke variant only asserts the era query opens exactly
-# the era's month partitions and never exceeds resident RSS — the 50%
-# RSS bar is meaningful only at paper scale, where the dataset (not the
-# interpreter footprint) dominates; `make bench-stream` enforces it and
-# refreshes the committed BENCH_stream.json.
-bench-stream-smoke:
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) benchmarks/bench_stream.py \
-		--check --rss-budget 1.0 --out BENCH_stream_smoke.json
-
-bench-stream:
-	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) benchmarks/bench_stream.py \
-		--scale 1.0 --check --out BENCH_stream.json
-
+# Every registered table, figure and section as <id>.txt, from the same
+# cached market and recorded run as any `repro report`.  The full-scale
+# artefacts are committed; EXPERIMENTS.md reads its numbers from them.
 reproduce:
-	$(PYTHON) examples/reproduce_paper.py --scale 0.05 --out reproduction_results
+	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro report --scale 0.05 \
+		--out reproduction_results
 
 reproduce-full:
-	$(PYTHON) examples/reproduce_paper.py --scale 1.0 --out reproduction_fullscale
+	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro report --scale 1.0 \
+		--out reproduction_fullscale
 
 clean:
-	rm -rf reproduction_results benchmarks/results .pytest_cache BENCH_gen_smoke.json BENCH_stream_smoke.json
+	rm -rf reproduction_results .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

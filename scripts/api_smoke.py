@@ -1,7 +1,7 @@
 """CI smoke for the serving layer: auth, replay, rate limit, restart.
 
 Boots the bundled HTTP server on an ephemeral port (the same
-:class:`repro.serve.BackgroundServer` the benchmarks use) against
+:class:`repro.serve.BackgroundServer` the serve tests use) against
 throwaway cache/run-store roots, then checks the acceptance bar from
 ``docs/serving.md`` over real sockets with the standard library's
 ``http.client``:

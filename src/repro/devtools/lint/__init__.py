@@ -11,7 +11,7 @@ R001  unseeded-rng            randomness flows through an explicit
                               ``numpy.random.Generator`` (bit-determinism
                               per seed)
 R002  wall-clock-in-library   no ``time.time()`` / ``datetime.now()``
-                              outside ``cli.py`` and ``benchmarks/``
+                              outside ``cli.py``
 R004  object-loop-in-kernel   columnar kernel modules never loop over
                               ``.contracts`` / ``.posts`` / ``.users``
 R005  era-literal             era-boundary dates come only from

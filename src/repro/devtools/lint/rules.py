@@ -205,8 +205,8 @@ class WallClockInLibrary(Rule):
     fingerprint, seed, scale, experiment set), never from timestamps —
     ``created_unix`` provenance stamps are passed in by the CLI, the
     one layer allowed to read the clock.  Timing is a presentation
-    concern: it is allowed in ``cli.py`` (progress messages) and under
-    ``benchmarks/``.  Monotonic *interval* clocks
+    concern: it is allowed in ``cli.py`` (progress messages).  Monotonic
+    *interval* clocks
     (``time.perf_counter`` / ``time.monotonic``) are always allowed —
     they measure durations, not calendar time.
     """
@@ -218,11 +218,8 @@ class WallClockInLibrary(Rule):
     _DT_METHODS = {"now", "today", "utcnow"}
     _DT_OWNERS = {"datetime", "date", "dt", "_dt"}
 
-    def _allowed_path(self, path: str) -> bool:
-        return path.endswith("/cli.py") or "benchmarks/" in path
-
     def visit(self, source):  # noqa: ANN001
-        if self._allowed_path(source.path):
+        if source.path.endswith("/cli.py"):
             return
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
@@ -232,8 +229,8 @@ class WallClockInLibrary(Rule):
                 yield self.finding(
                     source, node,
                     f"{'.'.join(chain)}() in library code — wall-clock "
-                    "reads belong in cli.py or benchmarks/ (use "
-                    "time.perf_counter for intervals)",
+                    "reads belong in cli.py (use time.perf_counter for "
+                    "intervals)",
                 )
             elif (
                 len(chain) >= 2
@@ -475,8 +472,8 @@ class UndocumentedPublicModule(Rule):
     the docs' package map learns what a file is *for*.  A missing
     docstring is usually a freshly split module whose purpose exists
     only in a commit message.  State the module's job in a sentence or
-    two at the top; tests and benchmarks are out of scope (their names
-    carry the intent).
+    two at the top; code outside ``src/`` (tests, ``perfbench/``) is out
+    of scope (its names carry the intent).
     """
 
     id = "R007"

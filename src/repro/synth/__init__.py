@@ -50,13 +50,8 @@ if TYPE_CHECKING:
         SimulationConfig,
         interpolate_curve,
     )
-    from .marketsim import (
-        MarketSimulator,
-        SimulationResult,
-        SimulationTruth,
-        generate_market,
-    )
-    from .engine import run_engine
+    from .marketsim import MarketSimulator, SimulationResult, SimulationTruth
+    from .engine import generate_market, run_engine
     from .fastgen import FastMarketSimulator, generate_market_fast
     from .streamgen import stream_partitioned
     from .obligations import ObligationGenerator, ObligationSpec
@@ -74,11 +69,8 @@ else:
             "MAKE_RATES", "TAKE_RATES", "SimulationConfig",
             "interpolate_curve",
         ),
-        "marketsim": (
-            "MarketSimulator", "SimulationResult", "SimulationTruth",
-            "generate_market",
-        ),
-        "engine": ("run_engine",),
+        "marketsim": ("MarketSimulator", "SimulationResult", "SimulationTruth"),
+        "engine": ("run_engine", "generate_market"),
         "fastgen": ("FastMarketSimulator", "generate_market_fast"),
         "streamgen": ("stream_partitioned",),
         "obligations": ("ObligationGenerator", "ObligationSpec"),

@@ -541,11 +541,12 @@ def interpolate_curve(curve: Curve, months: Sequence[Month]) -> Dict[Month, floa
     return result
 
 
-#: Scale at which the fastgen engine overtakes the object engine
-#: (best-of-N wall clock, benchmarks/BENCH_gen.json: fastgen-sharded runs
-#: at 0.81x object speed at scale 0.02 and 10.3x at scale 1.0, crossing
-#: near 0.05).  ``engine="auto"`` picks the object engine below this
-#: scale and fastgen at or above it.
+#: Scale at which the fastgen engine overtakes the object engine.  Best
+#: of three runs at seed 99 on one CPU (so cohort shards ran serially):
+#: fastgen ran at 0.90x the object engine's speed at scale 0.02 (0.81x
+#: sharded) and 10.3x at scale 1.0 (0.96 s against 9.9 s), crossing near
+#: 0.05.  ``engine="auto"`` picks the object engine below this scale and
+#: fastgen at or above it.
 ENGINE_AUTO_CROSSOVER = 0.05
 
 
@@ -589,9 +590,9 @@ class SimulationConfig:
 
         ``"auto"`` resolves by scale: below the measured
         :data:`ENGINE_AUTO_CROSSOVER` the per-batch fixed costs of the
-        columnar engine outweigh its vectorization win (BENCH_gen.json:
-        fastgen-sharded at 0.81x object speed at smoke scale, 10.3x at
-        paper scale), so small runs take the object path.
+        columnar engine outweigh its vectorization win (on one CPU,
+        0.90x the object engine's speed at scale 0.02 and 10.3x at paper
+        scale), so small runs take the object path.
         """
         if self.engine != "auto":
             return self.engine

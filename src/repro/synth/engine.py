@@ -5,18 +5,20 @@
 scale at the measured crossover
 (:data:`repro.synth.config.ENGINE_AUTO_CROSSOVER`): tiny runs take the
 object engine (lower fixed costs), paper-scale runs take the columnar
-engine.  Every generation entry point — :func:`cached_generate`, the
-CLI, the partitioned store builder — funnels through
-:func:`run_engine` so the resolution logic exists exactly once.
+engine.  Every generation entry point — :func:`generate_market`,
+:func:`cached_generate`, the CLI, the partitioned store builder —
+funnels through :func:`run_engine` so the resolution logic exists
+exactly once, and a market always comes from the engine its config
+fingerprint names.
 """
 
 from __future__ import annotations
 
 from ..obs.tracer import get_tracer
-from .config import SimulationConfig
+from .config import DEFAULT_CONFIG, SimulationConfig
 from .marketsim import MarketSimulator, SimulationResult
 
-__all__ = ["run_engine"]
+__all__ = ["run_engine", "generate_market"]
 
 
 def run_engine(config: SimulationConfig, workers: int = 1) -> SimulationResult:
@@ -34,3 +36,15 @@ def run_engine(config: SimulationConfig, workers: int = 1) -> SimulationResult:
 
         return FastMarketSimulator(config).run(workers=workers)
     return MarketSimulator(config).run()
+
+
+def generate_market(
+    scale: float = 1.0, seed: int = DEFAULT_CONFIG.seed, **overrides
+) -> SimulationResult:
+    """Convenience wrapper: build a config, run its engine, return all.
+
+    ``overrides`` are forwarded to :class:`SimulationConfig` (e.g.
+    ``generate_posts=False`` for faster experiment-only runs, or
+    ``engine="object"`` to pin the reference engine at any scale).
+    """
+    return run_engine(SimulationConfig(scale=scale, seed=seed, **overrides))

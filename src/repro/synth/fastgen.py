@@ -60,6 +60,7 @@ from ..robust.parallel import forked_map
 from . import config as cfg
 from . import obligations as obl
 from .config import SimulationConfig, interpolate_curve
+from .engine import run_engine
 from .marketsim import (
     _STATUSES,
     _TYPES,
@@ -1464,4 +1465,4 @@ def generate_market_fast(
     """Convenience wrapper: columnar engine, optional sharded workers."""
     overrides.setdefault("engine", "fastgen")
     config = SimulationConfig(scale=scale, seed=seed, **overrides)
-    return FastMarketSimulator(config).run(workers=workers)
+    return run_engine(config, workers=workers)

@@ -56,7 +56,6 @@ __all__ = [
     "SimulationTruth",
     "SimulationResult",
     "MarketSimulator",
-    "generate_market",
     "era_position",
     "status_probs",
     "class_probs",
@@ -696,15 +695,3 @@ class MarketSimulator:
                     )
                     self._next_post_id += 1
                     cursor += 1
-
-
-def generate_market(
-    scale: float = 1.0, seed: int = cfg.DEFAULT_CONFIG.seed, **overrides
-) -> SimulationResult:
-    """Convenience wrapper: build a config, run the simulator, return all.
-
-    ``overrides`` are forwarded to :class:`SimulationConfig` (e.g.
-    ``generate_posts=False`` for faster experiment-only runs).
-    """
-    config = SimulationConfig(scale=scale, seed=seed, **overrides)
-    return MarketSimulator(config).run()

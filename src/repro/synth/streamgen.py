@@ -1,8 +1,10 @@
 """Streaming partitioned generation: emit each month as it completes.
 
 The batch fastgen path runs every cohort's whole month loop and
-concatenates full-history tables; at paper scale the string columns of
-those tables dominate the ~617 MB peak RSS recorded in BENCH_gen.json.
+concatenates full-history tables, so its memory grows with the history:
+at paper scale (seed 99, 2 CPUs) a batch run peaks at ~130 MB RSS where
+streaming the same market into a store peaks at ~66 MB.  A one-CPU
+bench process that ran both engines at scale 1.0 peaked at ~617 MB.
 This module runs the same :class:`~repro.synth.fastgen._CohortGenerator`
 machinery *in lockstep* instead: all cohorts generate month M, the
 per-cohort chunks are merged into one shard and written to the

@@ -4,10 +4,11 @@ fingerprint per resolved engine whatever its spelling."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.obs import disable_tracing, enable_tracing
-from repro.synth import SimulationConfig
+from repro.synth import SimulationConfig, generate_market
 from repro.synth.cache import cached_partitioned_store, config_fingerprint
 from repro.synth.config import ENGINE_AUTO_CROSSOVER
 from repro.synth.engine import run_engine
@@ -65,6 +66,20 @@ class TestDispatch:
         counters = tracer.snapshot()["counters"]
         assert counters.get("gen.engine.fastgen") == 1
         assert result.dataset.tables is not None
+
+    def test_generate_market_builds_the_market_its_config_names(self):
+        # At the crossover "auto" resolves to fastgen, so the convenience
+        # wrapper must return run_engine's columnar market; a market from
+        # the other engine would be cached under fastgen's fingerprint.
+        built = generate_market(scale=ENGINE_AUTO_CROSSOVER, seed=3,
+                                generate_posts=False)
+        expected = run_engine(SimulationConfig(
+            scale=ENGINE_AUTO_CROSSOVER, seed=3, generate_posts=False))
+        assert len(built.dataset) == len(expected.dataset)
+        tables = expected.dataset.tables
+        assert sorted(built.dataset.tables) == sorted(tables)
+        for name, column in tables.items():
+            assert np.array_equal(built.dataset.tables[name], column), name
 
 
 class TestFingerprint:

@@ -49,13 +49,3 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         assert "verdict" in result.stdout
         assert "Intervention timing" in result.stdout
-
-    def test_reproduce_paper_subset(self, tmp_path):
-        out = str(tmp_path / "artefacts")
-        result = run_example(
-            "reproduce_paper.py", "--scale", "0.005", "--seed", "3",
-            "--out", out, "--only", "table1", "fig02",
-        )
-        assert result.returncode == 0, result.stderr
-        assert os.path.exists(os.path.join(out, "table1.txt"))
-        assert os.path.exists(os.path.join(out, "fig02.txt"))

@@ -263,6 +263,8 @@ class TestReportTraceCli:
         assert manifest.scale == pytest.approx(0.004)
         assert {e["id"] for e in manifest.experiments} == {"table1", "fig01"}
         assert manifest.counters.get("synth.contracts.generated", 0) > 0
+        for experiment_id in ("table1", "fig01"):
+            assert os.path.exists(os.path.join(out, f"{experiment_id}.txt"))
 
     def test_report_without_trace_writes_no_manifest(self, tmp_path, capsys):
         out = str(tmp_path / "artefacts")
