@@ -6,7 +6,6 @@ Usage::
     python -m repro experiment table1 --scale 0.05               # one artefact
     python -m repro experiment all --scale 0.1 --out results/    # everything
     python -m repro report --scale 0.1 --parallel 4              # cached full suite
-    python -m repro report --engine fastgen --gen-workers 4 --scale 1  # columnar
     python -m repro report --trace --scale 0.05                  # + timing tree/manifest
     python -m repro report --store partitioned --scale 1         # via cache format v4
     python -m repro stream funnel --era covid-19 --scale 1       # opens 4 months only
@@ -36,9 +35,9 @@ import time
 from typing import TYPE_CHECKING, List, Optional
 
 from . import __version__
-from .synth.config import SimulationConfig
 
 if TYPE_CHECKING:
+    from .synth.config import SimulationConfig
     from .synth.marketsim import SimulationResult
 
 __all__ = ["main", "build_parser"]
@@ -347,25 +346,15 @@ def _market_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=20201027)
     sub.add_argument("--no-posts", action="store_true",
                      help="skip post generation (faster)")
-    sub.add_argument("--engine", choices=("auto", "object", "fastgen"),
-                     default="auto",
-                     help="generation engine; 'auto' (default) picks the "
-                          "object engine below the measured ~0.05-scale "
-                          "crossover and the columnar engine above it")
-    sub.add_argument("--gen-workers", type=int, default=1, metavar="N",
-                     help="fork N processes for cohort-shard generation "
-                          "(fastgen engine only; the dataset is identical "
-                          "at any worker count)")
-
-
-def _engine_overrides(args) -> dict:
-    """Config overrides implied by the generation flags."""
-    return {"generate_posts": not args.no_posts, "engine": args.engine}
 
 
 def _config(args) -> SimulationConfig:
+    # Imported here, like every command's dependencies, so that
+    # ``repro --version`` loads nothing beyond this module.
+    from .synth.config import SimulationConfig
+
     return SimulationConfig(
-        scale=args.scale, seed=args.seed, **_engine_overrides(args)
+        scale=args.scale, seed=args.seed, generate_posts=not args.no_posts
     )
 
 
@@ -374,6 +363,7 @@ def _load_or_generate(args) -> SimulationResult:
         from .blockchain.chain import Ledger
         from .blockchain.rates import RateOracle
         from .core.io import load_dataset
+        from .synth.config import SimulationConfig
         from .synth.marketsim import SimulationResult, SimulationTruth
 
         dataset = load_dataset(args.data)
@@ -392,8 +382,7 @@ def _load_or_generate(args) -> SimulationResult:
             scale=args.scale,
             seed=args.seed,
             cache_dir=args.cache_dir,
-            gen_workers=args.gen_workers,
-            **_engine_overrides(args),
+            generate_posts=not args.no_posts,
         )
         print(
             f"dataset: {'cache hit' if hit else 'generated and cached'} "
@@ -407,7 +396,7 @@ def _load_or_generate(args) -> SimulationResult:
 def _generate_direct(args) -> SimulationResult:
     from .synth.engine import run_engine
 
-    return run_engine(_config(args), workers=args.gen_workers)
+    return run_engine(_config(args))
 
 
 def _cmd_generate(args) -> int:
@@ -484,7 +473,6 @@ def _cmd_report(args) -> int:
         context,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        gen_workers=args.gen_workers,
     )
     result = market.result
     if args.no_cache:
@@ -564,7 +552,6 @@ def _cmd_report(args) -> int:
                 "posts": not args.no_posts,
                 "cache": not args.no_cache,
                 "engine": context.engine,
-                "gen_workers": max(1, args.gen_workers),
                 "experiments": len(runs),
             },
             dataset=result.dataset.summary(),

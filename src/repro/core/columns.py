@@ -234,7 +234,7 @@ class ColumnStore:
         ``tables`` uses the cache column schema (``user_id``/``c_*``/
         ``p_*``/``r_*`` keys; enum codes index the canonical orders, int64
         microsecond timestamps with :data:`NAT_US` for missing).  This is
-        the native path of :mod:`repro.synth.fastgen` and of lazily-loaded
+        the native path of generated markets and of lazily-loaded
         cache entries: the per-object walk of ``__init__`` is skipped
         entirely, and the ratings/posts blocks also build from the arrays.
         """

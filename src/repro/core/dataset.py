@@ -82,8 +82,9 @@ class MarketDataset:
     ----------
     users, contracts, threads, posts, ratings:
         Entity sequences.  The constructor copies them into lists and sorts
-        contracts and posts chronologically, so analyses can rely on
-        creation order.
+        contracts and posts by ``(created_at, id)``.  A
+        :class:`~repro.core.lazy.ColumnBackedDataset` keeps its tables'
+        row order instead, so analyses must not rely on creation order.
     """
 
     def __init__(

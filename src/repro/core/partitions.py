@@ -647,8 +647,10 @@ class PartitionStore:
     def tables(self) -> Dict[str, np.ndarray]:
         """Full resident table dict: global tables plus every month shard
         concatenated in month order.  This defeats the point of the
-        partitioning — prefer ``iter_months`` — but legacy object-path
-        consumers need it."""
+        partitioning — prefer ``iter_months`` — but the classic
+        registry's resident analyses need it.  For a generated store it
+        equals the resident market of the same config, column for
+        column."""
         out: Dict[str, np.ndarray] = dict(self.global_tables())
         parts = list(self.iter_months())
         for key in _SHARD_KEYS:
@@ -818,8 +820,8 @@ def partition_tables(tables: Dict[str, np.ndarray]):
     bucket by creation month, posts and ratings by their own creation
     stamps.  Row order within a month is preserved, so a partitioned
     store materializes back to the same tables in month-major order.
-    This is the object-engine path into the partitioned cache format
-    (the fastgen engine streams shards directly instead).
+    The generator does not come this way: it streams its month tables
+    straight to a :class:`PartitionWriter`.
     """
     global_tables = {key: tables[key] for key in GLOBAL_KEYS}
     c_months = month_indexes_of(np.asarray(tables["c_created_us"], np.int64))
@@ -853,8 +855,8 @@ def write_tables(
     """Partition one resident table dict and publish it at ``final_path``.
 
     Convenience over :func:`partition_tables` + :class:`PartitionWriter`
-    for callers that already hold full-history tables (the object
-    engine, migrations of v2 cache entries).  Returns the store path.
+    for callers that already hold full-history tables.  Returns the
+    store path.
     """
     global_tables, shards = partition_tables(tables)
     writer = PartitionWriter(final_path, meta=meta)

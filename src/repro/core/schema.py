@@ -1,7 +1,7 @@
 """The canonical column schema: one registry for every table column.
 
-Every producer (the object engine's cache serializer, fastgen's batch
-merge, streamgen's month merge, :class:`~repro.core.partitions.
+Every producer (the generator's month tables in
+:mod:`repro.synth.fastgen`, :class:`~repro.core.partitions.
 PartitionWriter`) and every consumer (:class:`~repro.core.columns.
 ColumnStore`, the streaming kernels, the partition reader) speaks the
 same flat table dialect: ``user_*`` / ``t_*`` / ``x_*`` month-free
@@ -15,10 +15,10 @@ name and dtype in the tree against it) agree on.
 
 ``COLUMN_SCHEMA`` maps each canonical column name to its storage dtype
 (``"int64"`` / ``"int8"`` / ``"bool"`` / ``"str"`` / ``"float64"``).
-``INTERNAL_COLUMNS`` names engine-internal chunk keys that *look* like
-columns (same prefix grammar) but never reach a store — fastgen's
-per-cohort scratch keys — so R012 can tell a private staging key from a
-typo'd public one.
+``INTERNAL_COLUMNS`` names engine-internal scratch keys that *look* like
+columns (same prefix grammar) but never reach a store, so R012 can tell
+a private staging key from a typo'd public one; the generator keeps
+none today.
 """
 
 from __future__ import annotations
@@ -90,16 +90,9 @@ COLUMN_SCHEMA: Dict[str, str] = {
     "r_created_us": "int64",
 }
 
-#: Engine-internal chunk keys: they share the column-name grammar but
-#: live only inside fastgen/streamgen per-cohort scratch dicts and are
-#: renamed or dropped before anything is written to a store.
-INTERNAL_COLUMNS = frozenset({
-    "user_class_code",   # int class code, mapped to user_class strings
-    "c_maker_class",     # per-contract class codes used by post emission
-    "c_taker_class",
-    "x_seed",            # txhash seed, rendered to x_txhash at merge
-    "x_when_us",         # renamed to x_timestamp_us at merge
-})
+#: Engine-internal scratch keys: they would share the column-name
+#: grammar but never be written to a store.
+INTERNAL_COLUMNS: "frozenset[str]" = frozenset()
 
 #: Table keys that live in the month shards, bucketed by creation month.
 CONTRACT_KEYS: Tuple[str, ...] = tuple(

@@ -93,14 +93,13 @@ class CacheKeyCompleteness(ProgramRule):
     over the config dataclass minus the ``NON_STRUCTURAL_FIELDS``
     exclusions.  If a field is excluded (or popped from the payload)
     while generation code still *reads* it, two different markets can
-    silently share one cache entry: exactly the class of bug the
-    ``n_cohorts`` and worker-count knobs of PR 6/7 had to dodge by
-    hand.  This rule taints every ``*Config`` dataclass value flowing
-    from the generation entry points (``run_engine``, the cached
-    loaders, ``stream_partitioned``, the simulator ``run`` methods),
-    collects each field read reachable from them, and fails when a
-    read field is excluded from the fingerprint without a
-    ``# cache-key:`` justification on the exclusion line.  Reads of
+    silently share one cache entry: exactly the class of bug a
+    worker-count or sharding knob invites.  This rule taints every
+    ``*Config`` dataclass value flowing from the generation entry points
+    (``run_engine``, the cached loaders, ``stream_partitioned``, the
+    simulator ``run`` methods), collects each field read reachable from
+    them, and fails when a read field is excluded from the fingerprint
+    without a ``# cache-key:`` justification on the exclusion line.  Reads of
     attributes that are neither fields, properties nor methods of any
     config class are flagged too — they are typos the type checker may
     miss on dynamic paths.

@@ -335,27 +335,48 @@ def table8(ctx: ExperimentContext) -> ExperimentReport:
     )
 
 
+#: A ZIP coefficient at least this large, or with a standard error at
+#: least this wide, has run off towards the solver's box: quasi-complete
+#: separation, or a zero-inflation model collapsing onto Poisson.
+_SEPARATED_ESTIMATE = 15.0
+_SEPARATED_SE = 100.0
+_SEPARATED_MARK = "†"
+
+
+def _coefficient_rows(names, coefs, ses, zs) -> Tuple[List[List[str]], bool]:
+    """Table rows, each separated coefficient's name marked; and whether
+    any was."""
+    rows, marked = [], False
+    for name, coef, se, z in zip(names, coefs, ses, zs):
+        if abs(coef) >= _SEPARATED_ESTIMATE or se >= _SEPARATED_SE:
+            name, marked = f"{name} {_SEPARATED_MARK}", True
+        rows.append([name, f"{coef:.3f}", f"{se:.3f}", f"{z:.2f}"])
+    return rows, marked
+
+
 def _zip_lines(title: str, era_zip) -> List[str]:
     zr = era_zip.zip_result
     lines = [title]
     headers = ["Coefficient", "Estimate", "Std.Err", "Z"]
-    count_rows = [
-        [name, f"{coef:.3f}", f"{se:.3f}", f"{z:.2f}"]
-        for name, coef, se, z in zip(
-            zr.count_names, zr.count_coef, zr.count_se, zr.count_z
-        )
-    ]
+    count_rows, count_marked = _coefficient_rows(
+        zr.count_names, zr.count_coef, zr.count_se, zr.count_z
+    )
     lines.extend(render_table(headers, count_rows, title="Count model:"))
-    zero_rows = [
-        [name, f"{coef:.3f}", f"{se:.3f}", f"{z:.2f}"]
-        for name, coef, se, z in zip(zr.zero_names, zr.zero_coef, zr.zero_se, zr.zero_z)
-    ]
+    zero_rows, zero_marked = _coefficient_rows(
+        zr.zero_names, zr.zero_coef, zr.zero_se, zr.zero_z
+    )
     lines.extend(render_table(headers, zero_rows, title="Zero-inflation model:"))
     lines.append(
         f"n={era_zip.n_obs:,}  zero-completed={zr.pct_zero:.1f}%  "
         f"McFadden R2={zr.mcfadden_r2:.3f}  "
         f"Vuong vs Poisson: {era_zip.vuong.statistic:.2f} (p={era_zip.vuong.p_value:.4f})"
     )
+    if count_marked or zero_marked:
+        lines.append(
+            f"{_SEPARATED_MARK} separated or collapsed (|estimate| >= "
+            f"{_SEPARATED_ESTIMATE:g} or SE >= {_SEPARATED_SE:g}): the fit "
+            "ran towards its bound, so the value is not an estimate"
+        )
     lines.append("")
     return lines
 

@@ -1,7 +1,7 @@
 """Shared fork-based parallel mapper with tracer shipping and fallback.
 
-Both the experiment runner (:mod:`repro.report.experiments`) and the
-columnar generation engine (:mod:`repro.synth.fastgen`) fan work across
+The experiment runner (:mod:`repro.report.experiments`) and the
+whole-program linter (:mod:`repro.devtools.lint.engine`) fan work across
 processes the same way: a ``fork``-context ``ProcessPoolExecutor`` so
 workers inherit parent state copy-on-write, a fresh
 :class:`~repro.obs.Tracer` installed in each child whose picklable

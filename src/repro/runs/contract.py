@@ -96,7 +96,7 @@ class RunContext:
     the key: they never change what a deterministic run produces.
 
     ``config`` holds the reconstructable :class:`~repro.synth.config.
-    SimulationConfig` overrides (scale, seed, engine, posts, cohorts) so
+    SimulationConfig` overrides (scale, seed, engine, posts) so
     ``runs resume`` can rebuild the dataset; a context built from a
     programmatic config with custom curves records the fingerprint but
     cannot be resumed (the store refuses rather than guessing).

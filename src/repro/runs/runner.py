@@ -115,7 +115,7 @@ def context_for(
     ``store`` names the dataset source :func:`open_market` will open;
     ``policy`` (default :class:`~repro.robust.RetryPolicy`) is recorded
     for the run and for its resumption.  A config that the recorded
-    overrides cannot rebuild (custom curves, cohort counts) keeps its
+    overrides cannot rebuild (custom curves, say) keeps its
     fingerprint but records no ``config``, so resume refuses it rather
     than guessing.
     """
@@ -154,7 +154,7 @@ def _rebuild_config(context: RunContext) -> SimulationConfig:
         )
     try:
         config = SimulationConfig(**payload)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise RunsError(f"recorded config is not reconstructable: {exc}") from exc
     from ..synth.cache import config_fingerprint
 
@@ -225,14 +225,13 @@ def open_market(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     refresh: bool = False,
-    gen_workers: int = 1,
 ) -> Market:
     """Open the dataset source ``context`` names.
 
     A ``partitioned`` context opens (or builds) the month-partitioned
     store; a ``resident`` one loads (or generates and caches) the cache
     entry, or only generates with ``use_cache=False``.  ``refresh``
-    rebuilds a cached entry; ``gen_workers`` forks resident generation.
+    rebuilds a cached entry.
     Raises :class:`~repro.runs.store.RunsError` when the context's
     recorded config cannot be rebuilt or no longer matches its
     fingerprint.
@@ -249,12 +248,11 @@ def open_market(
     if not use_cache:
         from ..synth.engine import run_engine
 
-        return Market(config, False, result=run_engine(config, workers=gen_workers))
+        return Market(config, False, result=run_engine(config))
     from ..synth.cache import cached_generate
 
     result, hit = cached_generate(
-        cache_dir=cache_dir, refresh=refresh, gen_workers=gen_workers,
-        **overrides,
+        cache_dir=cache_dir, refresh=refresh, **overrides
     )
     return Market(config, hit, result=result)
 

@@ -72,7 +72,7 @@ def _parse_bool(request: Request, name: str, default: bool) -> bool:
 
 
 def _market_params(request: Request) -> Dict[str, Any]:
-    """The shared (scale, seed, posts, engine, latent_k) query block."""
+    """The shared (scale, seed, posts, latent_k) query block."""
     settings = _settings(request)
     scale = _parse_float(request, "scale", 0.01)
     if not (0.0 < scale <= settings.max_scale):
@@ -83,9 +83,6 @@ def _market_params(request: Request) -> Dict[str, Any]:
         )
     seed = _parse_int(request, "seed", 20201027)
     posts = _parse_bool(request, "posts", True)
-    engine = request.query.get("engine", "auto")
-    if engine not in ("auto", "object", "fastgen"):
-        raise HTTPError(400, "engine must be one of auto, object, fastgen")
     latent_k = _parse_int(request, "latent_k", 12)
     if not (1 <= latent_k <= 64):
         raise HTTPError(400, "latent_k must be in [1, 64]")
@@ -93,7 +90,6 @@ def _market_params(request: Request) -> Dict[str, Any]:
         "scale": scale,
         "seed": seed,
         "posts": posts,
-        "engine": engine,
         "latent_k": latent_k,
     }
 
@@ -158,7 +154,6 @@ def _build_context(
             experiments,
             market["scale"],
             market["seed"],
-            engine=market["engine"],
             posts=market["posts"],
             latent_k=market["latent_k"],
             store_kind=store_kind,

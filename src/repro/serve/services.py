@@ -53,8 +53,8 @@ from ..runs.store import RunStore, UnknownRunError
 from ..synth.config import SimulationConfig
 from .settings import ServeSettings
 
-# The runner imports both registries, the dataset cache, the columnar
-# engine and the partition streamer on first use.  Importing them with
+# The runner imports both registries, the dataset cache, the generator
+# and the partition streamer on first use.  Importing them with
 # the server leaves a forked compute worker nothing to import.
 from ..report import experiments as _classic, stream_experiments as _slices  # noqa: F401
 from ..synth import cache as _cache, fastgen, streamgen  # noqa: F401
@@ -168,7 +168,6 @@ class MarketService:
         scale: float,
         seed: int,
         *,
-        engine: str = "auto",
         posts: bool = True,
         latent_k: int = 12,
         store_kind: str = "resident",
@@ -182,9 +181,7 @@ class MarketService:
         settings = self.settings
         return context_for(
             command,
-            SimulationConfig(
-                scale=scale, seed=seed, engine=engine, generate_posts=posts
-            ),
+            SimulationConfig(scale=scale, seed=seed, generate_posts=posts),
             experiments,
             store=store_kind,
             latent_k=latent_k,

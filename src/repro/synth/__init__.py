@@ -22,15 +22,11 @@ __all__ = [
     "SimulationTruth",
     "generate_market",
     "run_engine",
-    "FastMarketSimulator",
-    "generate_market_fast",
     "stream_partitioned",
-    "ObligationGenerator",
     "ObligationSpec",
     "AliasSampler",
     "ArrayPopulation",
     "ClassRoster",
-    "Population",
     "CalibrationCheck",
     "CalibrationReport",
     "score_calibration",
@@ -50,12 +46,12 @@ if TYPE_CHECKING:
         SimulationConfig,
         interpolate_curve,
     )
-    from .marketsim import MarketSimulator, SimulationResult, SimulationTruth
+    from .fastgen import MarketSimulator
+    from .marketsim import SimulationResult, SimulationTruth
     from .engine import generate_market, run_engine
-    from .fastgen import FastMarketSimulator, generate_market_fast
     from .streamgen import stream_partitioned
-    from .obligations import ObligationGenerator, ObligationSpec
-    from .population import AliasSampler, ArrayPopulation, ClassRoster, Population
+    from .obligations import ObligationSpec
+    from .population import AliasSampler, ArrayPopulation, ClassRoster
     from .calibration import CalibrationCheck, CalibrationReport, score_calibration
     from .scenarios import (
         flat_market_scenario,
@@ -69,14 +65,12 @@ else:
             "MAKE_RATES", "TAKE_RATES", "SimulationConfig",
             "interpolate_curve",
         ),
-        "marketsim": ("MarketSimulator", "SimulationResult", "SimulationTruth"),
+        "fastgen": ("MarketSimulator",),
+        "marketsim": ("SimulationResult", "SimulationTruth"),
         "engine": ("run_engine", "generate_market"),
-        "fastgen": ("FastMarketSimulator", "generate_market_fast"),
         "streamgen": ("stream_partitioned",),
-        "obligations": ("ObligationGenerator", "ObligationSpec"),
-        "population": (
-            "AliasSampler", "ArrayPopulation", "ClassRoster", "Population",
-        ),
+        "obligations": ("ObligationSpec",),
+        "population": ("AliasSampler", "ArrayPopulation", "ClassRoster"),
         "calibration": (
             "CalibrationCheck", "CalibrationReport", "score_calibration",
         ),

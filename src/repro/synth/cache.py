@@ -33,7 +33,6 @@ asked for the same config generate once and share the result.
 
 from __future__ import annotations
 
-import datetime as _dt
 import hashlib
 import json
 import os
@@ -44,16 +43,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..blockchain.chain import ChainTransaction, Ledger
-from ..blockchain.rates import RateOracle
-from ..core.columns import (
-    CTYPE_ORDER,
-    NAT_US,
-    STATUS_ORDER,
-    VISIBILITY_ORDER,
-    datetime_from_us,
-)
-from ..core.lazy import RATING_SENTINEL, ColumnBackedDataset
+from ..core.lazy import RATING_SENTINEL
 from ..obs.tracer import get_tracer
 from ..robust.atomic import publish_dir, sha256_file, staging_dir
 from ..robust.crashpoints import crash_point
@@ -61,7 +51,7 @@ from ..robust.locks import FileLock, LockTimeout
 from ..robust.quarantine import quarantine_dir
 from .config import DEFAULT_CONFIG, SimulationConfig
 from .engine import run_engine
-from .marketsim import SimulationResult, SimulationTruth
+from .marketsim import SimulationResult, result_from_tables
 
 __all__ = [
     "CACHE_VERSION",
@@ -143,88 +133,13 @@ def cache_path(config: SimulationConfig, cache_dir: Optional[str] = None) -> str
 # --------------------------------------------------------------------- #
 
 
-def _us(when: Optional[_dt.datetime]) -> int:
-    if when is None:
-        return int(NAT_US)
-    return int(np.datetime64(when, "us").astype(np.int64))
-
-
-def _str_column(values) -> np.ndarray:
-    # Fixed-width unicode keeps the npz pickle-free; '' encodes None.
-    return np.asarray([v if v is not None else "" for v in values], dtype=np.str_)
-
-
-def _int_column(values, sentinel: int = -1) -> np.ndarray:
-    return np.asarray(
-        [v if v is not None else sentinel for v in values], dtype=np.int64
-    )
-
-
 def _columns_of(result: SimulationResult) -> Dict[str, np.ndarray]:
-    dataset = result.dataset
-    if isinstance(dataset, ColumnBackedDataset):
-        # Columnar engine: the tables already *are* the cache schema.
-        # Object-dtype string columns (cheap pointer copies in memory)
-        # must become fixed-width unicode so the npz stays pickle-free.
-        return {
-            key: (col.astype(np.str_) if col.dtype == object else col)
-            for key, col in dataset.tables.items()
-        }
-    users, contracts = dataset.users, dataset.contracts
-    threads, posts, ratings = dataset.threads, dataset.posts, dataset.ratings
-    transactions = list(result.ledger)
+    # The tables already *are* the cache schema.  Object-dtype string
+    # columns (cheap pointer copies in memory) must become fixed-width
+    # unicode so the npz stays pickle-free.
     return {
-        "user_id": _int_column(u.user_id for u in users),
-        "user_joined_us": np.asarray([_us(u.joined_forum_at) for u in users], np.int64),
-        "user_first_post_us": np.asarray([_us(u.first_post_at) for u in users], np.int64),
-        "user_class": _str_column(u.latent_class for u in users),
-        "c_id": _int_column(c.contract_id for c in contracts),
-        "c_type": np.asarray([CTYPE_ORDER.index(c.ctype) for c in contracts], np.int8),
-        "c_status": np.asarray(
-            [STATUS_ORDER.index(c.status) for c in contracts], np.int8
-        ),
-        "c_visibility": np.asarray(
-            [VISIBILITY_ORDER.index(c.visibility) for c in contracts], np.int8
-        ),
-        "c_maker": _int_column(c.maker_id for c in contracts),
-        "c_taker": _int_column(c.taker_id for c in contracts),
-        "c_created_us": np.asarray([_us(c.created_at) for c in contracts], np.int64),
-        "c_completed_us": np.asarray([_us(c.completed_at) for c in contracts], np.int64),
-        "c_maker_obligation": _str_column(c.maker_obligation for c in contracts),
-        "c_taker_obligation": _str_column(c.taker_obligation for c in contracts),
-        "c_terms": _str_column(c.terms for c in contracts),
-        "c_maker_rating": np.asarray(
-            [RATING_SENTINEL if c.maker_rating is None else c.maker_rating
-             for c in contracts], np.int8
-        ),
-        "c_taker_rating": np.asarray(
-            [RATING_SENTINEL if c.taker_rating is None else c.taker_rating
-             for c in contracts], np.int8
-        ),
-        "c_thread": _int_column(c.thread_id for c in contracts),
-        "c_btc_address": _str_column(c.btc_address for c in contracts),
-        "c_btc_txhash": _str_column(c.btc_txhash for c in contracts),
-        "t_id": _int_column(t.thread_id for t in threads),
-        "t_author": _int_column(t.author_id for t in threads),
-        "t_created_us": np.asarray([_us(t.created_at) for t in threads], np.int64),
-        "t_title": _str_column(t.title for t in threads),
-        "t_marketplace": np.asarray([t.is_marketplace for t in threads], np.bool_),
-        "p_id": _int_column(p.post_id for p in posts),
-        "p_thread": _int_column(p.thread_id for p in posts),
-        "p_author": _int_column(p.author_id for p in posts),
-        "p_created_us": np.asarray([_us(p.created_at) for p in posts], np.int64),
-        "p_marketplace": np.asarray([p.is_marketplace for p in posts], np.bool_),
-        "r_contract": _int_column(r.contract_id for r in ratings),
-        "r_rater": _int_column(r.rater_id for r in ratings),
-        "r_ratee": _int_column(r.ratee_id for r in ratings),
-        "r_score": np.asarray([r.score for r in ratings], np.int8),
-        "r_created_us": np.asarray([_us(r.created_at) for r in ratings], np.int64),
-        "x_txhash": _str_column(t.txhash for t in transactions),
-        "x_address": _str_column(t.address for t in transactions),
-        "x_timestamp_us": np.asarray(
-            [_us(t.timestamp) for t in transactions], np.int64
-        ),
-        "x_btc": np.asarray([t.btc_amount for t in transactions], np.float64),
+        key: (col.astype(np.str_) if col.dtype == object else col)
+        for key, col in result.dataset.tables.items()
     }
 
 
@@ -269,41 +184,9 @@ def save_result(result: SimulationResult, cache_dir: Optional[str] = None) -> st
     return entry
 
 
-def _ledger_from_columns(cols: Dict[str, np.ndarray]) -> Ledger:
-    ledger = Ledger()
-    for i in range(len(cols["x_txhash"])):
-        ledger.add(
-            ChainTransaction(
-                txhash=str(cols["x_txhash"][i]),
-                address=str(cols["x_address"][i]),
-                timestamp=datetime_from_us(int(cols["x_timestamp_us"][i])),
-                btc_amount=float(cols["x_btc"][i]),
-            )
-        )
-    return ledger
-
-
-def _result_from_tables(
-    cols: Dict[str, np.ndarray], config: SimulationConfig
-) -> SimulationResult:
-    """A lazy :class:`SimulationResult` over cache-schema tables.
-
-    Whichever engine generated them, the tables come back as a
-    :class:`ColumnBackedDataset`: analyses read the arrays, and entity
-    objects are built only for callers that iterate them.
-    """
-    return SimulationResult(
-        dataset=ColumnBackedDataset(cols),
-        ledger=_ledger_from_columns(cols),
-        rates=RateOracle(),
-        truth=SimulationTruth(),
-        config=config,
-    )
-
-
 def _load_columns(entry: str, config: SimulationConfig) -> SimulationResult:
     with np.load(os.path.join(entry, "data.npz")) as data:
-        return _result_from_tables({key: data[key] for key in data.files}, config)
+        return result_from_tables({key: data[key] for key in data.files}, config)
 
 
 def _load_entry(entry: str, config: SimulationConfig) -> SimulationResult:
@@ -378,7 +261,6 @@ def cached_generate(
     cache_dir: Optional[str] = None,
     refresh: bool = False,
     lock_timeout: Optional[float] = 600.0,
-    gen_workers: int = 1,
     **overrides,
 ) -> Tuple[SimulationResult, bool]:
     """Generate a market through the cache.
@@ -387,13 +269,6 @@ def cached_generate(
     disk.  ``refresh`` forces regeneration (and rewrites the entry).  The
     cached result carries an empty :class:`SimulationTruth` — analyses
     never read truth, only calibration tests do, and those generate fresh.
-
-    ``gen_workers`` is a *runtime* knob for the ``engine="fastgen"``
-    path: how many forked processes generate the cohort shards.  It is
-    deliberately **not** part of the config fingerprint — the columnar
-    engine shards by ``config.n_cohorts`` regardless of worker count, so
-    the same config produces byte-identical tables (and hits the same
-    cache entry) at any worker count.
 
     Concurrency: before generating, an advisory ``<entry>.lock`` file
     lock is taken (waiting up to ``lock_timeout`` seconds) and the cache
@@ -429,7 +304,7 @@ def cached_generate(
                 tracer.count("cache.hits")
                 return cached, True
         tracer.count("cache.misses")
-        result = run_engine(config, workers=gen_workers)
+        result = run_engine(config)
         with tracer.span("cache.save"):
             save_result(result, cache_dir)
         return result, False
@@ -449,7 +324,7 @@ def result_from_partitioned_store(store, config: SimulationConfig) -> Simulation
     :class:`ColumnBackedDataset` and rebuilds the ledger from the global
     ``x_*`` columns.  Streaming kernels should fold the store instead.
     """
-    return _result_from_tables(store.tables(), config)
+    return result_from_tables(store.tables(), config)
 
 
 def partitioned_cache_path(
@@ -480,19 +355,15 @@ def cached_partitioned_store(
     """Open (or build) the month-partitioned store for a config.
 
     Returns ``(store, hit)`` where ``store`` is a
-    :class:`~repro.core.partitions.PartitionStore`.  The fastgen engine
-    streams shards to disk month by month
+    :class:`~repro.core.partitions.PartitionStore`.  A build streams
+    the generator's month tables to disk
     (:func:`repro.synth.streamgen.stream_partitioned`) without ever
-    holding full-history tables; other engines generate resident tables
-    and split them with
-    :func:`~repro.core.partitions.write_tables`.  Locking, atomic
+    holding full-history tables.  Locking, atomic
     publication and corrupt-entry quarantine mirror
     :func:`cached_generate`; stale (old-format or other-fingerprint)
     stores read as plain misses and are overwritten on publish.
     """
-    from ..core.partitions import (
-        PartitionStore, open_or_quarantine, write_tables,
-    )
+    from ..core.partitions import PartitionStore, open_or_quarantine
 
     tracer = get_tracer()
     config = SimulationConfig(scale=scale, seed=seed, **overrides)
@@ -526,12 +397,9 @@ def cached_partitioned_store(
             "engine": config.resolved_engine,
         }
         with tracer.span("cache.save"):
-            if config.resolved_engine == "fastgen":
-                from .streamgen import stream_partitioned
-                stream_partitioned(config, entry, meta=meta)
-            else:
-                result = run_engine(config)
-                write_tables(_columns_of(result), entry, meta=meta)
+            from .streamgen import stream_partitioned
+
+            stream_partitioned(config, entry, meta=meta)
         return PartitionStore.open(entry, fingerprint), False
     finally:
         lock.release()

@@ -37,7 +37,6 @@ __all__ = [
     "SimulationConfig",
     "interpolate_curve",
     "DEFAULT_CONFIG",
-    "ENGINE_AUTO_CROSSOVER",
 ]
 
 # --------------------------------------------------------------------- #
@@ -541,15 +540,6 @@ def interpolate_curve(curve: Curve, months: Sequence[Month]) -> Dict[Month, floa
     return result
 
 
-#: Scale at which the fastgen engine overtakes the object engine.  Best
-#: of three runs at seed 99 on one CPU (so cohort shards ran serially):
-#: fastgen ran at 0.90x the object engine's speed at scale 0.02 (0.81x
-#: sharded) and 10.3x at scale 1.0 (0.96 s against 9.9 s), crossing near
-#: 0.05.  ``engine="auto"`` picks the object engine below this scale and
-#: fastgen at or above it.
-ENGINE_AUTO_CROSSOVER = 0.05
-
-
 @dataclass
 class SimulationConfig:
     """Tunable knobs for one simulator run.
@@ -570,15 +560,10 @@ class SimulationConfig:
     thread_link_prob: float = THREAD_LINK_PROB
     generate_posts: bool = True
     generate_threads: bool = True
-    #: Generation engine: "object" (MarketSimulator), "fastgen" (the
-    #: columnar engine in :mod:`repro.synth.fastgen`), or "auto", which
-    #: resolves by scale at the measured crossover (see
-    #: :data:`ENGINE_AUTO_CROSSOVER` and :attr:`resolved_engine`).
+    #: Generator spelling: "auto" (the default) or "fastgen".  Both name
+    #: the one generator, :mod:`repro.synth.fastgen`; see
+    #: :attr:`resolved_engine`.
     engine: str = "auto"
-    #: Cohort count for the fastgen engine.  Structural — part of the
-    #: config fingerprint — so shard boundaries (and hence the dataset)
-    #: never depend on how many worker processes happen to run.
-    n_cohorts: int = 4
 
     def class_weight(self, name: str, era_index: int, fraction: float) -> float:
         """Population weight of class ``name`` at ``fraction`` through era."""
@@ -586,25 +571,20 @@ class SimulationConfig:
 
     @property
     def resolved_engine(self) -> str:
-        """The concrete engine this config runs on.
+        """The generator this config runs on: always ``"fastgen"``.
 
-        ``"auto"`` resolves by scale: below the measured
-        :data:`ENGINE_AUTO_CROSSOVER` the per-batch fixed costs of the
-        columnar engine outweigh its vectorization win (on one CPU,
-        0.90x the object engine's speed at scale 0.02 and 10.3x at paper
-        scale), so small runs take the object path.
+        Run contexts and fingerprints record this name, so ``auto`` and
+        ``fastgen`` configs share one cache entry and one run key.
         """
-        if self.engine != "auto":
-            return self.engine
-        return "fastgen" if self.scale >= ENGINE_AUTO_CROSSOVER else "object"
+        return "fastgen"
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.engine not in ("auto", "object", "fastgen"):
-            raise ValueError(f"unknown engine: {self.engine!r}")
-        if self.n_cohorts < 1:
-            raise ValueError("n_cohorts must be >= 1")
+        if self.engine not in ("auto", "fastgen"):
+            raise ValueError(
+                f"unknown engine: {self.engine!r} (one of auto, fastgen)"
+            )
 
 
 #: Full-scale default configuration.

@@ -1,42 +1,42 @@
-"""Columnar market generation: vectorized, cohort-sharded synthesis.
+"""The market generator: one RNG stream, generated month by month.
 
-:class:`FastMarketSimulator` reproduces the statistical model of
-:class:`~repro.synth.marketsim.MarketSimulator` — same calibration
-curves, same era schedules, same per-type status/class math (imported
-from :mod:`repro.synth.marketsim`, one source of truth) — but generates
-*columns*, not objects:
+:class:`MarketSimulator` walks the June-2018..June-2020 month grid and,
+for each month:
 
-* per-(month, type) batched draws replace the per-contract Python loop:
-  statuses, timestamps, completion hours, visibility rolls, demotions
-  and B-ratings are whole-array operations;
-* the population is the array-backed
-  :class:`~repro.synth.population.ArrayPopulation` (alias-sampling
-  preferential attachment, vectorized roster cull and batch spawns);
-* obligation texts are drawn in per-kind batches (vague / currency
-  exchange / trade / vouch / goods) from the same template tables as
-  :mod:`repro.synth.obligations`, with only the final f-string render
-  running per public row;
-* thread linking uses the *event-list* equivalence: a thread with
-  ``1 + use`` weight owns ``1 + use`` entries in an event list, so the
-  weighted pick of the object path becomes a uniform pick;
-* the result is a dict of cache-schema arrays wrapped in
-  :class:`~repro.core.lazy.ColumnBackedDataset` — analyses get a
-  :class:`~repro.core.columns.ColumnStore` with zero object
-  construction, legacy callers materialize objects lazily.
+1. draws the number of created contracts from the calibrated monthly
+   target curve (Figure 1) and splits it across contract types by the
+   monthly type-share curves (Figure 3);
+2. distributes each type's contracts over maker and taker behavioural
+   classes (Table 6's rates weighted by the era's class schedule) and
+   resolves the classes to users through the churn and
+   preferential-attachment model of
+   :class:`~repro.synth.population.ArrayPopulation`;
+3. assigns status (Table 1, with the SET-UP dispute bulge), visibility
+   (Figure 2, with the completed-contract boost, disputes forced
+   public) and completion times (Figure 4's declining curve);
+4. renders obligation texts for public contracts from the template
+   tables of :mod:`repro.synth.obligations` (Tables 3–5), quotes
+   Bitcoin references and records the matching ledger payments with
+   §4.5's confirm/differ/missing mix;
+5. links public contracts to advertising threads and emits the month's
+   reputation votes and posts.
 
-Sharding: users are split into ``config.n_cohorts`` disjoint cohorts,
-each generated with an independent ``SeedSequence``-spawned stream and
-its own population.  Cohorts never interact (contracts, threads and
-posts stay within a cohort), so shards can run in parallel processes
-(:func:`repro.robust.parallel.forked_map`) and concatenate into one
-store.  ``n_cohorts`` is part of the config fingerprint; the *worker
-count* is not — the same config yields bit-identical datasets whether
-shards run serially or across N processes.
+The draws are whole-array operations per (month, type); only the final
+f-string render of an obligation runs per public row.  Thread linking
+uses an event list: a thread owns one entry at creation plus one per
+use, so the ``1 + use`` weighted pick becomes a uniform pick.
 
-Parity with the object engine is **statistical**, not bitwise: fixed
-seeds give different streams, but era shares, type mixes, status and
-visibility rates, monthly volumes and degree tails agree within the
-tolerances asserted by ``tests/test_synth_fastgen.py``.
+One function turns a month into its table.  :meth:`MarketSimulator.months`
+yields each month's contracts, posts and ratings under the partition
+shard keys, with dense ids: users and threads are numbered from 1 in
+the order they appear, contracts and posts in the order they are
+emitted.  :func:`repro.synth.streamgen.stream_partitioned` writes each
+table as its month partition, and :meth:`MarketSimulator.run`
+concatenates them behind a :class:`~repro.core.lazy.ColumnBackedDataset`.
+A resident market therefore equals its store's
+``PartitionStore.tables()`` in every column, row order included: rows
+are month-major, and within a month grouped by contract type, not
+sorted by time.
 """
 
 from __future__ import annotations
@@ -44,23 +44,28 @@ from __future__ import annotations
 import datetime as _dt
 import logging
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..blockchain.chain import ChainTransaction, Ledger, make_address, make_txhash
+from ..blockchain.chain import make_address, make_txhash
 from ..blockchain.rates import RateOracle
-from ..core.columns import CTYPE_ORDER, NAT_US, STATUS_ORDER, VISIBILITY_ORDER
+from ..core.columns import (
+    CTYPE_ORDER,
+    NAT_US,
+    STATUS_ORDER,
+    VISIBILITY_ORDER,
+    month_index_of,
+)
 from ..core.entities import ContractStatus, ContractType, Visibility
 from ..core.eras import all_months
-from ..core.lazy import RATING_SENTINEL, ColumnBackedDataset
+from ..core.lazy import RATING_SENTINEL
+from ..core.schema import SHARD_KEYS
 from ..core.timeutils import Month
-from ..obs.tracer import get_tracer, peak_rss_bytes
-from ..robust.parallel import forked_map
+from ..obs.tracer import get_tracer
 from . import config as cfg
 from . import obligations as obl
 from .config import SimulationConfig, interpolate_curve
-from .engine import run_engine
 from .marketsim import (
     _STATUSES,
     _TYPES,
@@ -68,12 +73,13 @@ from .marketsim import (
     SimulationTruth,
     class_probs,
     era_position,
+    result_from_tables,
     status_probs,
 )
 from .obligations import ObligationSpec
 from .population import ArrayPopulation
 
-__all__ = ["FastMarketSimulator", "generate_market_fast"]
+__all__ = ["MarketSimulator"]
 
 logger = logging.getLogger(__name__)
 
@@ -81,10 +87,6 @@ _US_PER_SECOND = 1_000_000
 _US_PER_HOUR = 3_600_000_000
 _US_PER_DAY = 86_400_000_000
 _EPOCH_DATE = _dt.date(1970, 1, 1)
-_EPOCH_DATE_TIME = _dt.datetime(1970, 1, 1)
-#: Chain seeds are partitioned per cohort so addresses/txhashes never
-#: collide across shards without any post-merge renumbering.
-_CHAIN_SEED_STRIDE = 2 ** 40
 
 # Drawn status indices follow marketsim's internal _STATUSES order; the
 # emitted columns use the canonical cache/ColumnStore code orders.
@@ -118,42 +120,60 @@ def _choice(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarra
 
     Equivalent to ``rng.choice(len(probs), size=size, p=probs)`` but
     skips choice's per-call probability validation and permutation
-    machinery — measurable when called hundreds of times per shard on
+    machinery — measurable when called hundreds of times per market on
     small batches.
     """
     cum = np.cumsum(probs)
     return np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
 
 
-class _CohortGenerator:
-    """Generates one cohort's shard of the market as raw arrays."""
+def _cat(chunks: List[np.ndarray], dtype) -> np.ndarray:
+    if not chunks:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(chunks).astype(dtype, copy=False)
 
-    def __init__(self, config: SimulationConfig, cohort: int) -> None:
-        self.config = config
-        self.cohort = cohort
-        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(cohort,))
+
+def _object_column(values: List[str]) -> np.ndarray:
+    # Object dtype: building <U arrays from hundreds of thousands of
+    # Python strings costs ~0.5s at full scale; pointer copies are free.
+    # The v2 cache converts to fixed-width strings at save time.
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+class MarketSimulator:
+    """Generates a synthetic marketplace dataset (see module docstring).
+
+    One instance generates one market, once: iterate :meth:`months`
+    (then read :meth:`lifetime_tables`), or call :meth:`run` for the
+    resident result.
+    """
+
+    def __init__(self, config: Optional[SimulationConfig] = None) -> None:
+        self.config = config = config or SimulationConfig()
+        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(0,))
         self.rng = np.random.default_rng(seq)
         self.rates = RateOracle()
         self.pop = ArrayPopulation(self.rng, config.attachment_alpha)
-        self.months = all_months()
-        self._created_curve = interpolate_curve(config.created_per_month, self.months)
-        self._public_curve = interpolate_curve(config.public_share, self.months)
-        self._hours_curve = interpolate_curve(config.completion_hours, self.months)
-        self._dispute_curve = interpolate_curve(config.dispute_modifier, self.months)
+        self._grid = all_months()
+        self._created_curve = interpolate_curve(config.created_per_month, self._grid)
+        self._public_curve = interpolate_curve(config.public_share, self._grid)
+        self._hours_curve = interpolate_curve(config.completion_hours, self._grid)
+        self._dispute_curve = interpolate_curve(config.dispute_modifier, self._grid)
         self._type_share_curves = {
-            ctype: interpolate_curve(curve, self.months)
+            ctype: interpolate_curve(curve, self._grid)
             for ctype, curve in cfg.TYPE_SHARES.items()
         }
 
         # Contract/post/rating accumulators are *per-month* buffers
-        # (reset by _begin_month_buffers, drained by _collect_month into
-        # one chunk dict per month).  Batch callers concatenate the
-        # chunks; the streaming emitter writes each chunk to its month
-        # partition and drops it, so no full-history column ever sits in
-        # memory during generation.
+        # (reset by _begin_month_buffers, drained by _month_table), so no
+        # full-history column sits in memory while a store streams.
         self._begin_month_buffers()
+        self._next_contract_id = 1
+        self._next_post_id = 1
 
-        # threads: local index order; event lists encode (1 + use) weights
+        # threads: 0-based index order; event lists encode (1 + use) weights
         self._t_author: List[int] = []
         self._t_created: List[int] = []
         self._t_title: List[str] = []
@@ -166,7 +186,7 @@ class _CohortGenerator:
         self._x_when: List[int] = []
         self._x_btc: List[float] = []
 
-        self._chain_seed = 1 + cohort * _CHAIN_SEED_STRIDE
+        self._chain_seed = 1
         self._dispute_counts = np.zeros(0, dtype=np.int64)
         self._rate_cache: Dict[Tuple[str, int], float] = {}
         self._date_cache: Dict[int, _dt.date] = {}
@@ -282,13 +302,56 @@ class _CohortGenerator:
     # generation
     # ------------------------------------------------------------------ #
 
-    def generate(self) -> Dict[str, object]:
-        """Run the cohort's month loop and return its shard dict."""
-        chunks = [
-            self.run_month(month_index, month)
-            for month_index, month in enumerate(self.months)
-        ]
-        return self._shard_dict(chunks)
+    def months(self) -> Iterator[Tuple[int, Dict[str, object], Dict[str, object]]]:
+        """Generate the market one calendar month at a time.
+
+        Yields ``(month_idx, table, truth)`` per month, in order:
+        ``month_idx`` counts months since 1970-01 (the partition key),
+        ``table`` holds the month's rows under
+        :data:`~repro.core.schema.SHARD_KEYS` (text columns as lists of
+        ``str``), and ``truth`` its contracts' maker and taker class
+        codes and obligation specs.  Once the months are exhausted,
+        :meth:`lifetime_tables` holds users, threads and the ledger.
+        """
+        tracer = get_tracer()
+        for month_index, month in enumerate(self._grid):
+            users_before = self.pop.n_users
+            with tracer.span("synth.month"):
+                self._run_month(month_index, month)
+                table, truth = self._month_table()
+            tracer.count("synth.contracts.generated", len(table["c_id"]))
+            tracer.count("synth.posts.generated", len(table["p_id"]))
+            tracer.count("synth.users.created", self.pop.n_users - users_before)
+            yield month_index_of(month), table, truth
+
+    def run(self) -> SimulationResult:
+        """Generate the whole market: every month's table concatenated."""
+        config = self.config
+        logger.info("generating market: scale=%.3g seed=%d", config.scale, config.seed)
+        start = time.perf_counter()
+        with get_tracer().span("synth.generate"):
+            tables: List[Dict[str, object]] = []
+            truths: List[Dict[str, object]] = []
+            for _, table, truth in self.months():
+                tables.append(table)
+                truths.append(truth)
+            columns = _concat_months(tables)
+            for key, col in self.lifetime_tables().items():
+                columns[key] = (
+                    _object_column(col) if isinstance(col, list) else col
+                )
+        logger.info(
+            "generated %d contracts, %d users in %.2fs",
+            len(columns["c_id"]), len(columns["user_id"]),
+            time.perf_counter() - start,
+        )
+        truth = _LazyTruth(
+            self.pop.class_code.copy(),
+            _cat([t["maker_class"] for t in truths], np.int8),
+            _cat([t["taker_class"] for t in truths], np.int8),
+            [spec for t in truths for spec in t["specs"]],
+        )
+        return result_from_tables(columns, config, truth)
 
     def _begin_month_buffers(self) -> None:
         """Reset the per-month contract/post/rating accumulators."""
@@ -318,54 +381,60 @@ class _CohortGenerator:
         self._r_score: List[np.ndarray] = []
         self._r_created: List[np.ndarray] = []
 
-    def _collect_month(self) -> Dict[str, object]:
-        """Drain the month buffers into one chunk dict."""
+    def _month_table(self) -> Tuple[Dict[str, object], Dict[str, object]]:
+        """Drain the month buffers into the month's table and truth.
 
-        def cat(chunks: List[np.ndarray], dtype) -> np.ndarray:
-            if not chunks:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(chunks).astype(dtype, copy=False)
-
-        return {
-            "c_type": cat(self._c_type, np.int8),
-            "c_status": cat(self._c_status, np.int8),
-            "c_visibility": cat(self._c_vis, np.int8),
-            "c_maker": cat(self._c_maker, np.int64),
-            "c_taker": cat(self._c_taker, np.int64),
-            "c_created_us": cat(self._c_created, np.int64),
-            "c_completed_us": cat(self._c_completed, np.int64),
-            "c_maker_rating": cat(self._c_maker_rating, np.int8),
-            "c_taker_rating": cat(self._c_taker_rating, np.int8),
-            "c_thread": cat(self._c_thread, np.int64),
-            "c_maker_class": cat(self._c_maker_class, np.int8),
-            "c_taker_class": cat(self._c_taker_class, np.int8),
-            "maker_ob": self._maker_ob,
-            "taker_ob": self._taker_ob,
-            "terms": self._terms,
-            "btc_addr": self._btc_addr,
-            "btc_tx": self._btc_tx,
-            "specs": self._specs,
-            "p_thread": cat(self._p_thread, np.int64),
-            "p_author": cat(self._p_author, np.int64),
-            "p_created_us": cat(self._p_created, np.int64),
-            "p_marketplace": cat(self._p_market, np.bool_),
-            "r_ratee": cat(self._r_ratee, np.int64),
-            "r_score": cat(self._r_score, np.int8),
-            "r_created_us": cat(self._r_created, np.int64),
-        }
-
-    def run_month(self, month_index: int, month: Month) -> Dict[str, object]:
-        """Generate exactly one month and return its chunk dict.
-
-        The batch path (:meth:`generate`) concatenates the chunks it
-        returns; the streaming path
-        (:func:`repro.synth.streamgen.stream_partitioned`) writes each
-        chunk straight to its month partition.  The per-cohort RNG draw
-        order is identical either way, so both paths produce the same
-        rows for a given config.
+        User and thread indices become ids (index + 1); contract and
+        post ids continue from the previous month, so ids are dense and
+        ascending across the whole market.
         """
+        c_id = self._next_contract_id
+        p_id = self._next_post_id
+        n_contracts = sum(len(chunk) for chunk in self._c_type)
+        n_posts = sum(len(chunk) for chunk in self._p_thread)
+        n_ratings = sum(len(chunk) for chunk in self._r_ratee)
+        self._next_contract_id += n_contracts
+        self._next_post_id += n_posts
+        thread = _cat(self._c_thread, np.int64)
+        table = {
+            "c_id": np.arange(c_id, c_id + n_contracts, dtype=np.int64),
+            "c_type": _cat(self._c_type, np.int8),
+            "c_status": _cat(self._c_status, np.int8),
+            "c_visibility": _cat(self._c_vis, np.int8),
+            "c_maker": _cat(self._c_maker, np.int64) + 1,
+            "c_taker": _cat(self._c_taker, np.int64) + 1,
+            "c_created_us": _cat(self._c_created, np.int64),
+            "c_completed_us": _cat(self._c_completed, np.int64),
+            "c_maker_obligation": self._maker_ob,
+            "c_taker_obligation": self._taker_ob,
+            "c_terms": self._terms,
+            "c_maker_rating": _cat(self._c_maker_rating, np.int8),
+            "c_taker_rating": _cat(self._c_taker_rating, np.int8),
+            "c_thread": np.where(thread >= 0, thread + 1, np.int64(-1)),
+            "c_btc_address": self._btc_addr,
+            "c_btc_txhash": self._btc_tx,
+            "p_id": np.arange(p_id, p_id + n_posts, dtype=np.int64),
+            "p_thread": _cat(self._p_thread, np.int64) + 1,
+            "p_author": _cat(self._p_author, np.int64) + 1,
+            "p_created_us": _cat(self._p_created, np.int64),
+            "p_marketplace": _cat(self._p_market, np.bool_),
+            "r_contract": np.zeros(n_ratings, dtype=np.int64),
+            "r_rater": np.zeros(n_ratings, dtype=np.int64),
+            "r_ratee": _cat(self._r_ratee, np.int64) + 1,
+            "r_score": _cat(self._r_score, np.int8),
+            "r_created_us": _cat(self._r_created, np.int64),
+        }
+        truth = {
+            "maker_class": _cat(self._c_maker_class, np.int8),
+            "taker_class": _cat(self._c_taker_class, np.int8),
+            "specs": self._specs,
+        }
         self._begin_month_buffers()
-        scale = self.config.scale / self.config.n_cohorts
+        return table, truth
+
+    def _run_month(self, month_index: int, month: Month) -> None:
+        """Generate exactly one month into the month buffers."""
+        scale = self.config.scale
         self.pop.begin_month(month_index)
         era_index, era_fraction = era_position(month)
         month_us = _month_first_day_us(month)
@@ -405,7 +474,6 @@ class _CohortGenerator:
             month_maker, month_taker, month_complete, month_disputed,
             month_us, month_days,
         )
-        return self._collect_month()
 
     def _resolve_classes(
         self,
@@ -572,9 +640,9 @@ class _CohortGenerator:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-deal B-ratings for completed contracts (sentinel elsewhere).
 
-        Dispute counts are read from the month-start snapshot — the
-        object engine updates them mid-month, a difference well inside
-        the parity tolerances.
+        Dispute counts are read from the month-start snapshot: a
+        dispute raises its parties' negative-rating odds from the next
+        month on.
         """
         rng = self.rng
         maker_rating = np.full(count, RATING_SENTINEL, dtype=np.int8)
@@ -719,7 +787,11 @@ class _CohortGenerator:
         )
         premium = 1.0 + rng.uniform(0.0, 0.08, size=m)
         drift = rng.uniform(0.97, 1.03, size=m)
-        usd_b = np.where(method_b == btc_index, usd * premium, usd * drift)
+        # The counter side's premium or drift stays under the cap too.
+        usd_b = np.minimum(
+            np.where(method_b == btc_index, usd * premium, usd * drift),
+            cfg.VALUE_CAP_USD,
+        )
         typo_arr = (usd > 500) & (rng.random(m) < cfg.TYPO_PROBABILITY * 10)
         stated_arr = np.where(typo_arr, usd * 10.0, usd)
         pay_word = (rng.random(m) < 0.5).tolist()
@@ -781,7 +853,9 @@ class _CohortGenerator:
             for i in other_idx.tolist()
         ]
         usd = self._lognormal_by_category(categories).tolist()
-        usd_b = (np.asarray(usd) * rng.uniform(0.9, 1.1, size=m)).tolist()
+        usd_b = np.minimum(
+            np.asarray(usd) * rng.uniform(0.9, 1.1, size=m), cfg.VALUE_CAP_USD
+        ).tolist()
         pick_a = rng.random(m).tolist()
         pick_b = rng.random(m).tolist()
         terms_pick = rng.integers(0, len(obl._TERMS), size=m).tolist()
@@ -944,9 +1018,9 @@ class _CohortGenerator:
     ) -> None:
         """Attach linking contracts to threads via the event-list trick.
 
-        A thread's object-path link weight is ``1 + use``; here every
-        thread owns one event at creation plus one per use, so the
-        weighted choice becomes a uniform pick from the event list.
+        A thread's link weight is ``1 + use``: every thread owns one
+        event at creation plus one per use, so the weighted choice
+        becomes a uniform pick from the event list.
         """
         rng = self.rng
         n = len(pub_rows)
@@ -1066,8 +1140,8 @@ class _CohortGenerator:
             return
         rng = self.rng
         # Uniform over the event list == weighted (1 + use) over threads,
-        # matching the object engine's monthly thread-probability snapshot.
-        # Only the tail appended since last month needs converting.
+        # as the links stood at the end of the month.  Only the tail
+        # appended since last month needs converting.
         done = len(self._events_arr)
         if done < len(self._thread_events):
             self._events_arr = np.concatenate(
@@ -1097,128 +1171,41 @@ class _CohortGenerator:
 
     # ------------------------------------------------------------------ #
 
-    def lifetime_dict(self) -> Dict[str, object]:
-        """The cohort's month-free state (users/threads/ledger).
+    def lifetime_tables(self) -> Dict[str, object]:
+        """Users, threads and the ledger, as the months so far left them.
 
-        Valid after the month loop has run — shared by the batch shard
-        dict and the streaming finalizer.
+        The month-free tables (``global.npz`` of a partitioned store);
+        text columns are lists of ``str``.
         """
+        n_users = self.pop.n_users
+        n_threads = len(self._t_author)
         return {
-            "n_users": self.pop.n_users,
+            "user_id": np.arange(1, n_users + 1, dtype=np.int64),
             "user_joined_us": self.pop.joined_us.copy(),
-            "user_class_code": self.pop.class_code.copy(),
-            "t_author": np.asarray(self._t_author, dtype=np.int64),
+            "user_first_post_us": np.full(n_users, NAT_US, dtype=np.int64),
+            "user_class": _CLASS_NAME_ARR[self.pop.class_code],
+            "t_id": np.arange(1, n_threads + 1, dtype=np.int64),
+            "t_author": np.asarray(self._t_author, dtype=np.int64) + 1,
             "t_created_us": np.asarray(self._t_created, dtype=np.int64),
-            "t_title": self._t_title,
-            "x_seed": np.asarray(self._x_seed, dtype=np.int64),
-            "x_address": self._x_address,
-            "x_when_us": np.asarray(self._x_when, dtype=np.int64),
+            "t_title": list(self._t_title),
+            "t_marketplace": np.ones(n_threads, dtype=np.bool_),
+            "x_txhash": [make_txhash(seed) for seed in self._x_seed],
+            "x_address": list(self._x_address),
+            "x_timestamp_us": np.asarray(self._x_when, dtype=np.int64),
             "x_btc": np.asarray(self._x_btc, dtype=np.float64),
         }
 
-    def _shard_dict(self, chunks: List[Dict[str, object]]) -> Dict[str, object]:
-        def cat(key: str, dtype) -> np.ndarray:
-            pieces = [chunk[key] for chunk in chunks if len(chunk[key])]
-            if not pieces:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(pieces).astype(dtype, copy=False)
 
-        def cat_list(key: str) -> list:
-            out: list = []
-            for chunk in chunks:
-                out.extend(chunk[key])
-            return out
-
-        shard = self.lifetime_dict()
-        shard.update({
-            "c_type": cat("c_type", np.int8),
-            "c_status": cat("c_status", np.int8),
-            "c_visibility": cat("c_visibility", np.int8),
-            "c_maker": cat("c_maker", np.int64),
-            "c_taker": cat("c_taker", np.int64),
-            "c_created_us": cat("c_created_us", np.int64),
-            "c_completed_us": cat("c_completed_us", np.int64),
-            "c_maker_rating": cat("c_maker_rating", np.int8),
-            "c_taker_rating": cat("c_taker_rating", np.int8),
-            "c_thread": cat("c_thread", np.int64),
-            "c_maker_class": cat("c_maker_class", np.int8),
-            "c_taker_class": cat("c_taker_class", np.int8),
-            "maker_ob": cat_list("maker_ob"),
-            "taker_ob": cat_list("taker_ob"),
-            "terms": cat_list("terms"),
-            "btc_addr": cat_list("btc_addr"),
-            "btc_tx": cat_list("btc_tx"),
-            "specs": cat_list("specs"),
-            "p_thread": cat("p_thread", np.int64),
-            "p_author": cat("p_author", np.int64),
-            "p_created_us": cat("p_created_us", np.int64),
-            "p_marketplace": cat("p_marketplace", np.bool_),
-            "r_ratee": cat("r_ratee", np.int64),
-            "r_score": cat("r_score", np.int8),
-            "r_created_us": cat("r_created_us", np.int64),
-        })
-        return shard
-
-
-def _generate_shard(item: Tuple[SimulationConfig, int]) -> Dict[str, object]:
-    """forked_map worker: generate one cohort shard (picklable result)."""
-    config, cohort = item
-    tracer = get_tracer()
-    start = time.perf_counter()
-    with tracer.span("fastgen.shard"):
-        shard = _CohortGenerator(config, cohort).generate()
-    shard["seconds"] = time.perf_counter() - start
-    tracer.gauge(f"fastgen.shard{cohort}.seconds", shard["seconds"])
-    tracer.count("fastgen.shard.contracts", len(shard["c_type"]))
-    return shard
-
-
-class FastMarketSimulator:
-    """Columnar engine: same statistical model, arrays all the way down."""
-
-    def __init__(self, config: Optional[SimulationConfig] = None) -> None:
-        self.config = config or SimulationConfig(engine="fastgen")
-
-    def run(self, workers: int = 1) -> SimulationResult:
-        """Generate the dataset; ``workers`` only affects wall-clock."""
-        config = self.config
-        tracer = get_tracer()
-        logger.info(
-            "fastgen: scale=%.3g seed=%d cohorts=%d workers=%d",
-            config.scale, config.seed, config.n_cohorts, workers,
-        )
-        start = time.perf_counter()
-        with tracer.span("fastgen.generate"):
-            items = [(config, cohort) for cohort in range(config.n_cohorts)]
-            shards = forked_map(
-                _generate_shard,
-                items,
-                workers=workers,
-                span="fastgen.shards",
-                broken_counter="fastgen.pool_broken",
-            )
-            with tracer.span("fastgen.merge"):
-                result = _merge_shards(config, shards)
-        elapsed = max(time.perf_counter() - start, 1e-9)
-
-        tables = result.dataset.tables
-        n_users = len(tables["user_id"])
-        n_contracts = len(tables["c_id"])
-        tracer.count("fastgen.contracts.generated", n_contracts)
-        tracer.count("fastgen.users.created", n_users)
-        tracer.count("fastgen.posts.generated", len(tables["p_id"]))
-        tracer.gauge("fastgen.users_per_sec", n_users / elapsed)
-        tracer.gauge("fastgen.contracts_per_sec", n_contracts / elapsed)
-        rss = peak_rss_bytes()
-        if rss is not None:
-            tracer.gauge("fastgen.peak_rss_bytes", float(rss))
-        for cohort, shard in enumerate(shards):
-            tracer.gauge(f"fastgen.shard{cohort}.seconds", shard["seconds"])
-        logger.info(
-            "fastgen done: %d contracts, %d users in %.2fs (%.0f contracts/s)",
-            n_contracts, n_users, elapsed, n_contracts / elapsed,
-        )
-        return result
+def _concat_months(tables: List[Dict[str, object]]) -> Dict[str, np.ndarray]:
+    """Every month table concatenated in month order (text as objects)."""
+    out: Dict[str, np.ndarray] = {}
+    for key in SHARD_KEYS:
+        pieces = [table[key] for table in tables]
+        if isinstance(pieces[0], list):
+            out[key] = _object_column([v for piece in pieces for v in piece])
+        else:
+            out[key] = np.concatenate(pieces)
+    return out
 
 
 class _LazyTruth(SimulationTruth):
@@ -1246,223 +1233,23 @@ class _LazyTruth(SimulationTruth):
 
     def __getattr__(self, name: str):
         if name == "user_class":
-            value = dict(
-                zip(
-                    range(1, len(self._user_codes) + 1),
-                    _CLASS_NAME_ARR[self._user_codes].tolist(),
-                )
-            )
+            codes = self._user_codes
         elif name == "maker_class":
-            value = dict(
-                zip(
-                    range(1, len(self._maker_codes) + 1),
-                    _CLASS_NAME_ARR[self._maker_codes].tolist(),
-                )
-            )
+            codes = self._maker_codes
         elif name == "taker_class":
-            value = dict(
-                zip(
-                    range(1, len(self._taker_codes) + 1),
-                    _CLASS_NAME_ARR[self._taker_codes].tolist(),
-                )
-            )
+            codes = self._taker_codes
         elif name == "specs":
             value = {
                 contract_id: spec
                 for contract_id, spec in enumerate(self._spec_list, start=1)
                 if spec is not None
             }
+            setattr(self, name, value)
+            return value
         else:
             raise AttributeError(name)
+        value = dict(
+            zip(range(1, len(codes) + 1), _CLASS_NAME_ARR[codes].tolist())
+        )
         setattr(self, name, value)
         return value
-
-
-def _merge_shards(
-    config: SimulationConfig, shards: List[Dict[str, object]]
-) -> SimulationResult:
-    """Concatenate cohort shards into one global column set."""
-    user_counts = [int(s["n_users"]) for s in shards]
-    thread_counts = [len(s["t_author"]) for s in shards]
-    user_offsets = np.concatenate([[0], np.cumsum(user_counts)[:-1]]).astype(np.int64)
-    thread_offsets = np.concatenate([[0], np.cumsum(thread_counts)[:-1]]).astype(
-        np.int64
-    )
-    n_users = int(sum(user_counts))
-    n_threads = int(sum(thread_counts))
-
-    def user_ids(key: str) -> np.ndarray:
-        return np.concatenate(
-            [
-                np.asarray(s[key], dtype=np.int64) + 1 + off
-                for s, off in zip(shards, user_offsets)
-            ]
-        ) if shards else np.empty(0, dtype=np.int64)
-
-    def cat(key: str, dtype) -> np.ndarray:
-        chunks = [np.asarray(s[key]) for s in shards]
-        if not chunks:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(chunks).astype(dtype, copy=False)
-
-    def cat_list(key: str) -> list:
-        out: list = []
-        for s in shards:
-            out.extend(s[key])
-        return out
-
-    def str_col(key: str) -> np.ndarray:
-        # Object dtype: building <U arrays from hundreds of thousands of
-        # Python strings costs ~0.5s at full scale; pointer copies are
-        # free.  The cache converts to fixed-width strings at save time.
-        values = cat_list(key)
-        out = np.empty(len(values), dtype=object)
-        out[:] = values
-        return out
-
-    # -- users --------------------------------------------------------- #
-    user_class_codes = cat("user_class_code", np.int8)
-    user_cols = {
-        "user_id": np.arange(1, n_users + 1, dtype=np.int64),
-        "user_joined_us": cat("user_joined_us", np.int64),
-        "user_first_post_us": np.full(n_users, NAT_US, dtype=np.int64),
-        "user_class": _CLASS_NAME_ARR[user_class_codes].astype(np.str_),
-    }
-
-    # -- threads ------------------------------------------------------- #
-    t_author = user_ids("t_author")
-    t_cols = {
-        "t_id": np.arange(1, n_threads + 1, dtype=np.int64),
-        "t_author": t_author,
-        "t_created_us": cat("t_created_us", np.int64),
-        "t_title": str_col("t_title"),
-        "t_marketplace": np.ones(n_threads, dtype=np.bool_),
-    }
-
-    # -- contracts ----------------------------------------------------- #
-    # Plain cohort-order concatenation: deterministic for a fixed
-    # ``n_cohorts`` regardless of worker count, and no costlier than the
-    # object path's month-major emission order (which is not
-    # chronologically sorted either — nothing downstream assumes order).
-    c_thread = (
-        np.concatenate(
-            [
-                np.where(chunk >= 0, chunk + 1 + off, -1)
-                for chunk, off in zip(
-                    (np.asarray(s["c_thread"], dtype=np.int64) for s in shards),
-                    thread_offsets,
-                )
-            ]
-        )
-        if shards
-        else np.empty(0, dtype=np.int64)
-    )
-    created_us = cat("c_created_us", np.int64)
-    n_contracts = len(created_us)
-    maker_class = cat("c_maker_class", np.int8)
-    taker_class = cat("c_taker_class", np.int8)
-    specs = cat_list("specs")
-    c_cols = {
-        "c_id": np.arange(1, n_contracts + 1, dtype=np.int64),
-        "c_type": cat("c_type", np.int8),
-        "c_status": cat("c_status", np.int8),
-        "c_visibility": cat("c_visibility", np.int8),
-        "c_maker": user_ids("c_maker"),
-        "c_taker": user_ids("c_taker"),
-        "c_created_us": created_us,
-        "c_completed_us": cat("c_completed_us", np.int64),
-        "c_maker_obligation": str_col("maker_ob"),
-        "c_taker_obligation": str_col("taker_ob"),
-        "c_terms": str_col("terms"),
-        "c_maker_rating": cat("c_maker_rating", np.int8),
-        "c_taker_rating": cat("c_taker_rating", np.int8),
-        "c_thread": c_thread,
-        "c_btc_address": str_col("btc_addr"),
-        "c_btc_txhash": str_col("btc_tx"),
-    }
-
-    # -- posts --------------------------------------------------------- #
-    p_created = cat("p_created_us", np.int64)
-    p_thread = np.concatenate(
-        [
-            np.asarray(s["p_thread"], dtype=np.int64) + 1 + off
-            for s, off in zip(shards, thread_offsets)
-        ]
-    ) if shards else np.empty(0, dtype=np.int64)
-    p_cols = {
-        "p_id": np.arange(1, len(p_created) + 1, dtype=np.int64),
-        "p_thread": p_thread,
-        "p_author": user_ids("p_author"),
-        "p_created_us": p_created,
-        "p_marketplace": cat("p_marketplace", np.bool_),
-    }
-
-    # -- ratings (monthly reputation votes) ---------------------------- #
-    n_ratings = len(cat("r_created_us", np.int64))
-    r_cols = {
-        "r_contract": np.zeros(n_ratings, dtype=np.int64),
-        "r_rater": np.zeros(n_ratings, dtype=np.int64),
-        "r_ratee": user_ids("r_ratee"),
-        "r_score": cat("r_score", np.int8),
-        "r_created_us": cat("r_created_us", np.int64),
-    }
-
-    # -- ledger -------------------------------------------------------- #
-    x_seed = cat("x_seed", np.int64).tolist()
-    x_address = cat_list("x_address")
-    x_when = cat("x_when_us", np.int64)
-    x_btc = cat("x_btc", np.float64)
-    x_when_l = x_when.tolist()
-    x_btc_l = x_btc.tolist()
-    x_hashes = [make_txhash(seed) for seed in x_seed]
-    ledger = Ledger()
-    for i in range(len(x_seed)):
-        ledger.add(
-            ChainTransaction(
-                txhash=x_hashes[i],
-                address=x_address[i],
-                timestamp=_EPOCH_DATE_TIME
-                + _dt.timedelta(microseconds=x_when_l[i]),
-                btc_amount=x_btc_l[i],
-            )
-        )
-    x_hash_col = np.empty(len(x_hashes), dtype=object)
-    x_hash_col[:] = x_hashes
-    x_addr_col = np.empty(len(x_address), dtype=object)
-    x_addr_col[:] = x_address
-    x_cols = {
-        "x_txhash": x_hash_col,
-        "x_address": x_addr_col,
-        "x_timestamp_us": x_when,
-        "x_btc": x_btc,
-    }
-
-    tables: Dict[str, np.ndarray] = {}
-    tables.update(user_cols)
-    tables.update(c_cols)
-    tables.update(t_cols)
-    tables.update(p_cols)
-    tables.update(r_cols)
-    tables.update(x_cols)
-
-    truth = _LazyTruth(user_class_codes, maker_class, taker_class, specs)
-    dataset = ColumnBackedDataset(tables)
-    return SimulationResult(
-        dataset=dataset,
-        ledger=ledger,
-        rates=RateOracle(),
-        truth=truth,
-        config=config,
-    )
-
-
-def generate_market_fast(
-    scale: float = 1.0,
-    seed: int = cfg.DEFAULT_CONFIG.seed,
-    workers: int = 1,
-    **overrides,
-) -> SimulationResult:
-    """Convenience wrapper: columnar engine, optional sharded workers."""
-    overrides.setdefault("engine", "fastgen")
-    config = SimulationConfig(scale=scale, seed=seed, **overrides)
-    return run_engine(config, workers=workers)

@@ -7,25 +7,18 @@ that are *co-designed* with :mod:`repro.text`: every generated category is
 recoverable by the taxonomy regexes, every payment method by the payment
 extractor, and every stated amount by the value extractor.
 
-The generator records its intent in an :class:`ObligationSpec` (ground
-truth), which the simulator keeps aside so tests can score the extraction
-pipelines against it.
+The tables below are the templates; :mod:`repro.synth.fastgen` draws
+from them in per-kind batches.  It records each public contract's
+intent in an :class:`ObligationSpec` (ground truth), which the result
+keeps aside so tests can score the extraction pipelines against it.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Set
 
-import numpy as np
-
-from ..blockchain.rates import RateOracle
-from ..core.entities import ContractType
-from ..core.timeutils import Month
-from . import config as cfg
-
-__all__ = ["ObligationSpec", "ObligationGenerator"]
+__all__ = ["ObligationSpec"]
 
 
 @dataclass
@@ -194,249 +187,3 @@ def _format_usd(value: float) -> str:
     if value >= 10:
         return f"{value:,.0f}"
     return f"{value:.2f}"
-
-
-class ObligationGenerator:
-    """Draws categories, methods, values and renders obligation texts."""
-
-    def __init__(self, rng: np.random.Generator, rates: RateOracle) -> None:
-        self.rng = rng
-        self.rates = rates
-        #: Probability a public contract gets a vague, uncategorisable text.
-        self.vague_prob = 0.07
-
-    # ------------------------------------------------------------------ #
-    # sampling helpers
-    # ------------------------------------------------------------------ #
-
-    def _pick_weighted(self, weights: Dict[str, float]) -> str:
-        keys = list(weights)
-        values = np.asarray([weights[k] for k in keys], dtype=float)
-        values = values / values.sum()
-        return keys[int(self.rng.choice(len(keys), p=values))]
-
-    def pick_category(self, ctype: ContractType, era_index: int) -> str:
-        """Sample a trading-activity category for a contract."""
-        base = cfg.CATEGORY_WEIGHTS[ctype]
-        adjusted = {
-            key: weight * cfg.CATEGORY_ERA_FACTOR.get(key, (1, 1, 1))[era_index]
-            for key, weight in base.items()
-        }
-        return self._pick_weighted(adjusted)
-
-    def pick_method(self, era_index: int, exclude: Optional[str] = None) -> str:
-        """Sample a payment method (optionally excluding one)."""
-        adjusted = {
-            key: weight * cfg.PAYMENT_ERA_FACTOR.get(key, (1, 1, 1))[era_index]
-            for key, weight in cfg.PAYMENT_WEIGHTS.items()
-            if key != exclude
-        }
-        return self._pick_weighted(adjusted)
-
-    def pick_value(self, category: str) -> float:
-        """Sample a USD value from the category's log-normal."""
-        mu, sigma = cfg.VALUE_PARAMS.get(category, (3.0, 1.0))
-        value = float(self.rng.lognormal(mu, sigma))
-        return min(value, cfg.VALUE_CAP_USD)
-
-    # ------------------------------------------------------------------ #
-    # text rendering
-    # ------------------------------------------------------------------ #
-
-    def _payment_text(
-        self, method: str, usd: float, when: _dt.date, pay_word: bool
-    ) -> str:
-        amt = ""
-        if method in _METHOD_CURRENCY:
-            units = self.rates.from_usd(usd, _METHOD_CURRENCY[method], when)
-            amt = f"{units:.4f}" if units < 10 else f"{units:,.0f}"
-        elif method == "vbucks":
-            amt = f"{int(usd * 100):,}"
-        body = _METHOD_TEXT[method].format(usd=_format_usd(usd), amt=amt)
-        if pay_word:
-            return f"payment of {body}"
-        return f"sending {body}"
-
-    def _goods_text(self, category: str, usd: Optional[float]) -> str:
-        phrases = _GOODS[category]
-        phrase = phrases[int(self.rng.integers(0, len(phrases)))]
-        if usd is not None:
-            return f"{phrase} - ${_format_usd(usd)}"
-        return phrase
-
-    # ------------------------------------------------------------------ #
-    # top-level generation
-    # ------------------------------------------------------------------ #
-
-    def generate(
-        self,
-        ctype: ContractType,
-        era_index: int,
-        when: _dt.date,
-    ) -> ObligationSpec:
-        """Generate the full obligation spec for one public contract."""
-        if self.rng.random() < self.vague_prob:
-            return self._generate_vague(when)
-
-        category = self.pick_category(ctype, era_index)
-        if category == "currency_exchange" or (
-            ctype == ContractType.EXCHANGE and category in ("giftcard",)
-        ):
-            return self._generate_currency_exchange(era_index, when, category)
-        if ctype == ContractType.TRADE:
-            return self._generate_trade(era_index, when, category)
-        if ctype == ContractType.VOUCH_COPY:
-            return self._generate_vouch(era_index, when, category)
-        return self._generate_goods_deal(ctype, era_index, when, category)
-
-    # ------------------------------------------------------------------ #
-
-    def _maybe_typo(self, usd: float) -> Tuple[float, bool]:
-        """Occasionally inflate a stated value 10x (a typing error)."""
-        if usd > 500 and self.rng.random() < cfg.TYPO_PROBABILITY * 10:
-            return usd * 10.0, True
-        return usd, False
-
-    def _generate_vague(self, when: _dt.date) -> ObligationSpec:
-        maker = _VAGUE[int(self.rng.integers(0, len(_VAGUE)))]
-        taker = _VAGUE[int(self.rng.integers(0, len(_VAGUE)))]
-        return ObligationSpec(
-            maker_text=maker,
-            taker_text=taker,
-            terms=_TERMS[int(self.rng.integers(0, len(_TERMS)))],
-            categories={"uncategorised"},
-            methods=set(),
-            value_usd=0.0,
-            maker_usd=None,
-            taker_usd=None,
-            uses_bitcoin=False,
-        )
-
-    def _generate_currency_exchange(
-        self, era_index: int, when: _dt.date, category: str
-    ) -> ObligationSpec:
-        """Two payment instruments exchanged (the dominant activity)."""
-        method_a = self.pick_method(era_index)
-        method_b = self.pick_method(era_index, exclude=method_a)
-        usd = self.pick_value("currency_exchange")
-        # High-value trades skew toward Bitcoin exchanges (§4.5: the >$1k
-        # transactions are "mostly related to Bitcoin and PayPal").
-        if "bitcoin" in (method_a, method_b):
-            usd = min(usd * 1.35, cfg.VALUE_CAP_USD)
-        # Bitcoin commands a small premium against cash-out methods (§4.5).
-        premium = 1.0 + float(self.rng.uniform(0.0, 0.08))
-        usd_b = usd * premium if method_b == "bitcoin" else usd * float(
-            self.rng.uniform(0.97, 1.03)
-        )
-        stated_a, typo = self._maybe_typo(usd)
-        pay_word = bool(self.rng.random() < 0.5)
-        maker_pay_word = bool(self.rng.random() < 0.4)
-        maker_prefix = "payment of " if maker_pay_word else ""
-        maker_text = (
-            f"exchanging {maker_prefix}"
-            f"{self._payment_text(method_a, stated_a, when, False)[8:]} "
-            f"for {method_b.replace('_', ' ')}"
-        )
-        taker_text = self._payment_text(method_b, usd_b, when, pay_word)
-        if self.rng.random() < 0.85:
-            taker_text += " in exchange"  # both sides describe the swap
-        categories = {"currency_exchange"}
-        if pay_word or maker_pay_word:
-            categories.add("payments")
-        if category == "giftcard" or "giftcard" in (method_a, method_b) or (
-            "amazon_giftcard" in (method_a, method_b)
-        ):
-            categories.add("giftcard")
-        methods = {method_a, method_b}
-        return ObligationSpec(
-            maker_text=maker_text,
-            taker_text=taker_text,
-            terms=_TERMS[int(self.rng.integers(0, len(_TERMS)))],
-            categories=categories,
-            methods=methods,
-            value_usd=(usd + usd_b) / 2.0,
-            maker_usd=usd,
-            taker_usd=usd_b,
-            uses_bitcoin="bitcoin" in methods,
-            is_typo=typo,
-        )
-
-    def _generate_goods_deal(
-        self,
-        ctype: ContractType,
-        era_index: int,
-        when: _dt.date,
-        category: str,
-    ) -> ObligationSpec:
-        """A goods-for-payment deal (SALE or PURCHASE)."""
-        usd = self.pick_value(category)
-        method = self.pick_method(era_index)
-        stated, typo = self._maybe_typo(usd)
-        pay_word = bool(self.rng.random() < 0.3)
-        goods = self._goods_text(category, stated)
-        payment = self._payment_text(method, usd, when, pay_word)
-        if ctype == ContractType.PURCHASE:
-            maker_text, taker_text = payment, goods  # buyer initiates
-        else:
-            maker_text, taker_text = goods, payment  # seller initiates
-        categories = {category}
-        if pay_word:
-            categories.add("payments")
-        if method == "amazon_giftcard":
-            categories.add("giftcard")
-        return ObligationSpec(
-            maker_text=maker_text,
-            taker_text=taker_text,
-            terms=_TERMS[int(self.rng.integers(0, len(_TERMS)))],
-            categories=categories,
-            methods={method},
-            value_usd=usd,
-            maker_usd=stated if ctype != ContractType.PURCHASE else usd,
-            taker_usd=usd if ctype != ContractType.PURCHASE else stated,
-            uses_bitcoin=method == "bitcoin",
-            is_typo=typo,
-        )
-
-    def _generate_trade(
-        self, era_index: int, when: _dt.date, category: str
-    ) -> ObligationSpec:
-        """Goods-for-goods barter (TRADE)."""
-        other = self.pick_category(ContractType.TRADE, era_index)
-        usd = self.pick_value(category)
-        usd_b = usd * float(self.rng.uniform(0.9, 1.1))
-        if category == "currency_exchange":
-            return self._generate_currency_exchange(era_index, when, category)
-        if other == "currency_exchange":
-            other = "gaming"
-        maker_text = self._goods_text(category, usd)
-        taker_text = f"trading {self._goods_text(other, usd_b)}"
-        return ObligationSpec(
-            maker_text=maker_text,
-            taker_text=taker_text,
-            terms=_TERMS[int(self.rng.integers(0, len(_TERMS)))],
-            categories={category, other},
-            methods=set(),
-            value_usd=(usd + usd_b) / 2.0,
-            maker_usd=usd,
-            taker_usd=usd_b,
-            uses_bitcoin=False,
-        )
-
-    def _generate_vouch(
-        self, era_index: int, when: _dt.date, category: str
-    ) -> ObligationSpec:
-        """A vouch copy: goods given free in exchange for a vouch."""
-        goods = self._goods_text(category, None)
-        maker_text = f"vouch copy of {goods}"
-        taker_text = "honest vouch and review on hackforums"
-        return ObligationSpec(
-            maker_text=maker_text,
-            taker_text=taker_text,
-            terms="vouch within 48 hours of receiving the copy.",
-            categories={category, "hackforums_related"},
-            methods=set(),
-            value_usd=0.0,
-            maker_usd=None,
-            taker_usd=None,
-            uses_bitcoin=False,
-        )

@@ -9,37 +9,27 @@ probabilities and lifetimes depend on the class tier: 'single' classes
 churn fast, 'power' classes persist and accumulate hub degrees (producing
 Figure 7's heavy-tailed degree distributions).
 
-Two implementations share the model:
-
-* :class:`Population` — the object path used by
-  :class:`~repro.synth.marketsim.MarketSimulator`.  It materializes
-  :class:`~repro.core.entities.User` objects and per-user dicts, but its
-  rosters are array-backed (:class:`ClassRoster`), so the monthly cull is
-  a vectorized mask (and a no-op when nothing expired) instead of a
-  Python list rebuild.
-* :class:`ArrayPopulation` — the columnar path used by
-  :mod:`repro.synth.fastgen`.  No objects at all: per-user attributes
-  live in growable NumPy arrays, spawns happen in batches, and
-  preferential attachment is Walker alias sampling
-  (:class:`AliasSampler`) — O(roster) table build, O(1) per draw.
+:class:`ArrayPopulation`, used by :mod:`repro.synth.fastgen`, builds no
+objects: per-user attributes live in growable NumPy arrays, spawns
+happen in batches, the rosters are array-backed (:class:`ClassRoster`,
+so the monthly cull is one vectorized mask), and preferential
+attachment draws by cumsum and binary search, or by Walker alias
+sampling (:class:`AliasSampler`: O(roster) table build, O(1) per draw)
+when a batch's draws dwarf the roster.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from ..core.entities import User
-from ..core.timeutils import Month
 from . import config as cfg
 
-__all__ = ["AliasSampler", "ClassRoster", "Population", "ArrayPopulation"]
+__all__ = ["AliasSampler", "ClassRoster", "ArrayPopulation"]
 
 _US_PER_DAY = 86_400_000_000
 _US_PER_HOUR = 3_600_000_000
-_EPOCH_DATE = _dt.date(1970, 1, 1)
 
 
 def _grow(array: np.ndarray, needed: int) -> np.ndarray:
@@ -90,9 +80,10 @@ class ClassRoster:
     """Active members of one behavioural class (array-backed).
 
     ``user_ids`` / ``contract_counts`` / ``expiry`` are exposed as array
-    views over an amortized-growth backing store, so appends are O(1)
-    and :meth:`cull` compacts with one boolean mask — and does nothing
-    at all when no member expired (the common case month over month).
+    views over an amortized-growth backing store, so a batch append is
+    one slice assignment and :meth:`cull` compacts with one boolean mask
+    — and does nothing at all when no member expired (the common case
+    month over month).
     """
 
     def __init__(self, name: str) -> None:
@@ -113,17 +104,6 @@ class ClassRoster:
     @property
     def expiry(self) -> np.ndarray:
         return self._expiry[: self._n]
-
-    def append(self, user_id: int, expiry: int) -> None:
-        """Add a member with zero past contracts, active until ``expiry``."""
-        n = self._n
-        self._user_ids = _grow(self._user_ids, n + 1)
-        self._contract_counts = _grow(self._contract_counts, n + 1)
-        self._expiry = _grow(self._expiry, n + 1)
-        self._user_ids[n] = user_id
-        self._contract_counts[n] = 0
-        self._expiry[n] = expiry
-        self._n = n + 1
 
     def extend(self, user_ids: np.ndarray, expiry: np.ndarray) -> None:
         """Bulk-append members with zero past contracts (vectorized)."""
@@ -160,167 +140,11 @@ class ClassRoster:
         return self._n
 
 
-class Population:
-    """Creates users on demand and tracks per-class rosters.
-
-    Parameters
-    ----------
-    rng:
-        Shared ``numpy.random.Generator``.
-    start_month:
-        First month of the simulation (month index 0).
-    attachment_alpha:
-        Exponent of the preferential-attachment weight.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        start_month: Month,
-        attachment_alpha: float = cfg.ATTACHMENT_ALPHA,
-    ) -> None:
-        self.rng = rng
-        self.start_month = start_month
-        self.attachment_alpha = attachment_alpha
-        self.users: List[User] = []
-        self.rosters: Dict[str, ClassRoster] = {
-            name: ClassRoster(name) for name in cfg.CLASS_NAMES
-        }
-        #: Per-user latent "scamminess" in [0, 1); drives negative ratings
-        #: and dispute involvement.
-        self.scam_propensity: Dict[int, float] = {}
-        #: Latent non-completer flags (contracts of these users rarely
-        #: settle), producing user-level excess zeros for the ZIP models.
-        self.non_completer: Dict[int, bool] = {}
-        #: user id -> behavioural class name, maintained at spawn time.
-        self.class_of: Dict[int, str] = {}
-        #: user id -> month index the user first became active.
-        self.spawn_month: Dict[int, int] = {}
-        self._next_user_id = 1
-
-    # ------------------------------------------------------------------ #
-
-    def begin_month(self, month_index: int) -> None:
-        """Retire members whose lifetimes have expired."""
-        for roster in self.rosters.values():
-            roster.cull(month_index)
-
-    def active_user_ids(self) -> List[int]:
-        """Ids of every currently-active roster member."""
-        ids: List[int] = []
-        for roster in self.rosters.values():
-            ids.extend(roster.user_ids.tolist())
-        return ids
-
-    def active_by_class(self) -> Dict[str, List[int]]:
-        """Snapshot of roster membership by class."""
-        return {name: r.user_ids.tolist() for name, r in self.rosters.items()}
-
-    def roster_size(self, klass: str) -> int:
-        return len(self.rosters[klass])
-
-    # ------------------------------------------------------------------ #
-
-    def _spawn(self, klass: str, month_index: int, month: Month, era_index: int) -> int:
-        """Create a new user of ``klass`` active from ``month``."""
-        tier = cfg.CLASS_TIERS[klass]
-        mean_life = cfg.LIFETIME_MONTHS[tier]
-        lifetime = int(self.rng.geometric(1.0 / mean_life))
-        # Forum-join date precedes the first contract; SET-UP participants
-        # often had a long pre-contract forum history (§5.2).
-        if era_index == 0:
-            back_days = int(self.rng.uniform(0, 400))
-        elif self.rng.random() < 0.8:
-            back_days = int(self.rng.uniform(0, 30))
-        else:
-            back_days = int(self.rng.uniform(30, 300))
-        joined = _dt.datetime.combine(
-            month.first_day(), _dt.time(hour=int(self.rng.integers(0, 24)))
-        ) - _dt.timedelta(days=back_days)
-        user = User(
-            user_id=self._next_user_id,
-            joined_forum_at=joined,
-            latent_class=klass,
-        )
-        self._next_user_id += 1
-        self.users.append(user)
-        self.scam_propensity[user.user_id] = float(self.rng.beta(0.6, 20.0))
-        self.non_completer[user.user_id] = bool(
-            self.rng.random() < cfg.NON_COMPLETER_PROB[tier]
-        )
-        self.class_of[user.user_id] = klass
-        self.spawn_month[user.user_id] = month_index
-        self.rosters[klass].append(user.user_id, month_index + max(1, lifetime))
-        return user.user_id
-
-    def _attachment_probs(self, roster: ClassRoster) -> np.ndarray:
-        counts = roster.contract_counts.astype(np.float64)
-        weights = np.power(1.0 + counts, self.attachment_alpha)
-        return weights / weights.sum()
-
-    def acquire_actors(
-        self,
-        klass: str,
-        count: int,
-        month_index: int,
-        month: Month,
-        era_index: int,
-        era_fraction: float = 0.0,
-    ) -> np.ndarray:
-        """Return ``count`` user ids of ``klass`` to act this month.
-
-        A mix of reused roster members (preferential attachment) and
-        freshly-spawned users, per the tier's reuse probability (which is
-        interpolated across the era).  Updates attachment counts so later
-        picks within the month see the load.
-        """
-        if count <= 0:
-            return np.empty(0, dtype=np.int64)
-        tier = cfg.CLASS_TIERS[klass]
-        reuse_start, reuse_end = cfg.REUSE_PROBS[tier][era_index]
-        reuse_prob = reuse_start + (reuse_end - reuse_start) * era_fraction
-        roster = self.rosters[klass]
-
-        n_reuse = int(self.rng.binomial(count, reuse_prob)) if len(roster) else 0
-        n_new = count - n_reuse
-
-        ids = np.empty(count, dtype=np.int64)
-        if n_reuse:
-            probs = self._attachment_probs(roster)
-            picks = self.rng.choice(len(roster), size=n_reuse, replace=True, p=probs)
-            ids[:n_reuse] = roster.user_ids[picks]
-            np.add.at(roster.contract_counts, picks, 1)
-        for offset in range(n_new):
-            new_id = self._spawn(klass, month_index, month, era_index)
-            ids[n_reuse + offset] = new_id
-            roster.contract_counts[len(roster) - 1] += 1
-        self.rng.shuffle(ids)
-        return ids
-
-    def resolve_collision(
-        self, klass: str, forbidden: int, month_index: int, month: Month, era_index: int
-    ) -> int:
-        """Pick a user of ``klass`` different from ``forbidden``.
-
-        Used when a sampled taker equals the maker; falls back to spawning
-        when the roster has no alternative.
-        """
-        roster = self.rosters[klass]
-        candidates = np.nonzero(roster.user_ids != forbidden)[0]
-        if len(candidates):
-            pick = int(self.rng.integers(0, len(candidates)))
-            idx = int(candidates[pick])
-            roster.contract_counts[idx] += 1
-            return int(roster.user_ids[idx])
-        return self._spawn(klass, month_index, month, era_index)
-
-
 class ArrayPopulation:
     """Columnar population for :mod:`repro.synth.fastgen` — no objects.
 
     Per-user attributes live in parallel growable arrays indexed by a
-    0-based *user index* (the eventual user id is ``index + 1`` within a
-    shard, offset at merge time).  Each class keeps an array roster
+    0-based *user index* (the user id is ``index + 1``).  Each class keeps an array roster
     (indices / attachment counts / expiry months) and batch acquisition
     draws the reuse/spawn split, the alias-sampled reuse picks and the
     vectorized spawn attributes in one shot per (class, batch).
@@ -435,10 +259,9 @@ class ArrayPopulation:
     ) -> np.ndarray:
         """``count`` acting user indices of ``klass`` (batched).
 
-        Mirrors :meth:`Population.acquire_actors`: a binomial reuse/spawn
-        split, alias-sampled preferential attachment over the roster, a
-        vectorized batch spawn for the remainder, and a shuffle so the
-        maker/taker pairing downstream is random.
+        A binomial reuse/spawn split, preferential attachment over the
+        roster, a vectorized batch spawn for the remainder, and a
+        shuffle so the maker/taker pairing downstream is random.
         """
         if count <= 0:
             return np.empty(0, dtype=np.int64)
@@ -451,11 +274,8 @@ class ArrayPopulation:
         n_reuse = int(rng.binomial(count, reuse_prob))
         n_new = count - n_reuse
         # Empty roster: spawn only the binomial share (at least one) and
-        # let the "reuse" picks draw from the fresh batch.  Forcing an
-        # all-new batch — what the object path does — is negligible when
-        # it happens once globally, but a sharded run re-bootstraps every
-        # cohort, inflating spawn counts (and hence posts from long-lived
-        # tiers) with the cohort count.
+        # let the "reuse" picks draw from the fresh batch, so a class's
+        # first batch spawns as many users as a later one would.
         reuse_from_spawns = not len(roster)
         if reuse_from_spawns and n_new == 0:
             n_new, n_reuse = 1, count - 1

@@ -11,8 +11,9 @@ builders modify the driving curves to ask "what if":
   composition, useful as a baseline for detecting era effects.
 
 Each returns a ready :class:`~repro.synth.config.SimulationConfig`; run
-it through :class:`~repro.synth.marketsim.MarketSimulator` and compare
-against the default with the standard analyses.
+it through :class:`~repro.synth.fastgen.MarketSimulator` (or any entry
+point that takes a config) and compare against the default with the
+standard analyses.
 """
 
 from __future__ import annotations

@@ -72,6 +72,9 @@ _SYNONYM_PATTERNS = [
     (key, re.compile(r"\b" + re.escape(key) + r"\b"), value)
     for key, value in sorted(SYNONYMS.items(), key=lambda kv: -len(kv[0]))
 ]
+_ANY_SYNONYM = re.compile(
+    r"\b(?:" + "|".join(re.escape(key) for key, _, _ in _SYNONYM_PATTERNS) + r")\b"
+)
 
 
 def unify_synonyms(text: str) -> str:
@@ -100,7 +103,20 @@ def normalize_unified(unified: str, strip_digits: bool = False) -> str:
 
     Lets one unified string serve both the value regexes (which need its
     number punctuation) and the category and payment regexes.
+
+    Dropping delimiters and stop-words can bring a synonym's words
+    together ("google:pay", "pay the pal"), and a replacement can complete
+    another synonym ("bch app" -> "bitcoin cash app"), so the text is
+    unified and cleaned again until no synonym is left: the result is a
+    fixed point of :func:`normalize`.
     """
+    result = _clean(unified, strip_digits)
+    while _ANY_SYNONYM.search(result):
+        result = _clean(unify_synonyms(result), strip_digits)
+    return result
+
+
+def _clean(unified: str, strip_digits: bool) -> str:
     result = _DELIMITERS.sub(" ", unified)
     if strip_digits:
         result = _DIGITS.sub(" ", result)

@@ -42,6 +42,20 @@ def sim_tiny():
     return MarketSimulator(SimulationConfig(scale=0.008, seed=321)).run()
 
 
+#: Seeds of the small markets that claims about the market's shape are
+#: stated over, instead of over one draw.
+SEED_MARKETS = tuple(range(1, 13))
+
+
+@pytest.fixture(scope="session")
+def seed_markets():
+    """Twelve ~2% scale markets, seeds 1 to 12, sim_small's config."""
+    return [
+        MarketSimulator(SimulationConfig(scale=0.02, seed=seed)).run().dataset
+        for seed in SEED_MARKETS
+    ]
+
+
 @pytest.fixture(scope="session")
 def dataset(sim_small):
     return sim_small.dataset

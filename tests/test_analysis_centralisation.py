@@ -1,5 +1,6 @@
 """Tests for the centralisation analyses (Figures 5 and 6)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.centralisation import (
@@ -20,10 +21,14 @@ class TestConcentrationCurves:
         assert curves.users_created[100] == pytest.approx(1.0)
         assert curves.threads_created[100] == pytest.approx(1.0)
 
-    def test_market_concentrated(self, dataset):
-        # Paper: ~5% of users cover >70% of contracts.
-        curves = concentration_curves(dataset, percents=(5,))
-        assert curves.users_created[5] > 0.45
+    def test_market_concentrated(self, seed_markets):
+        # Paper: ~5% of users cover >70% of contracts.  At 2% scale the
+        # bar is stated on the mean over the seed markets, not one draw.
+        shares = [
+            concentration_curves(market, percents=(5,)).users_created[5]
+            for market in seed_markets
+        ]
+        assert np.mean(shares) > 0.45
 
     def test_threads_concentrated(self, dataset):
         # Paper: top 30% of threads cover ~70% of thread-linked contracts.

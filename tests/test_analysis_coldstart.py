@@ -131,13 +131,19 @@ class TestZipAllUsers:
         index = stable.count_names.index("First-Time Contract Users")
         assert stable.zip_result.count_coef[index] < 0.5  # full scale: -0.25***
 
-    def test_zip_preferred_over_poisson(self, all_zip):
+    def test_zip_preferred_over_poisson(self, seed_markets):
         # The paper's Vuong tests favour ZIP in every era; at test scale
         # only the large STABLE sample has reliable power, so we require a
-        # clear win there and no decisive loss elsewhere.
-        assert all_zip["STABLE"].vuong.statistic > 1.0
-        for era_zip in all_zip.values():
-            assert era_zip.vuong.statistic > -3.0
+        # clear win there and no decisive loss elsewhere — in the median
+        # over the seed markets, since one 2% draw's COVID-19 sample is
+        # small enough to favour Poisson.
+        statistics = {}
+        for market in seed_markets:
+            for era, era_zip in zip_all_users(market).items():
+                statistics.setdefault(era, []).append(era_zip.vuong.statistic)
+        assert np.median(statistics["STABLE"]) > 1.0
+        for values in statistics.values():
+            assert np.median(values) > -3.0
 
     def test_mcfadden_in_paper_range(self, all_zip):
         for era_zip in all_zip.values():
@@ -193,11 +199,20 @@ class TestClustering:
         major_mean = features[~outlier_mask, accepted_col].mean()
         assert outlier_mean > 3 * major_mean
 
-    def test_eight_outlier_clusters(self, clustering):
-        assert clustering.stage2 is not None
-        assert clustering.stage2.k == 8
-        assert len(clustering.outlier_medians) == 8
-        assert sum(clustering.outlier_sizes) == len(clustering.outlier_users)
+    def test_eight_outlier_clusters(self, seed_markets):
+        # Stage 2 needs at least eight outliers, which a 2% draw does not
+        # always leave: it must run on most seed markets, with eight
+        # clusters covering every outlier wherever it runs.
+        ran = 0
+        for market in seed_markets:
+            clustering = cluster_cold_starters(market, seed=0)
+            if clustering.stage2 is None:
+                continue
+            ran += 1
+            assert clustering.stage2.k == 8
+            assert len(clustering.outlier_medians) == 8
+            assert sum(clustering.outlier_sizes) == len(clustering.outlier_users)
+        assert ran > len(seed_markets) / 2
 
     def test_medians_keyed_by_variables(self, clustering):
         for median in clustering.outlier_medians:

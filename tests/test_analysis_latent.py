@@ -109,8 +109,12 @@ class TestClassIds:
         assert [class_id(i) for i in (0, 25, 26, 63)] == ["A", "Z", "C26", "C63"]
 
     def test_artefacts_share_table6_ids_past_z(self, sim_tiny):
-        """table8 and fig12/fig13 name classes 26+ as table6 does."""
-        ctx = ExperimentContext(sim_tiny, latent_k=30)
+        """table8 and fig12/fig13 name classes 26+ as table6 does.
+
+        The premise needs a fit whose artefacts show a class past Z: on
+        sim_tiny, k = 40 shows ten, where k = 30 shows none.
+        """
+        ctx = ExperimentContext(sim_tiny, latent_k=40)
         ids = {row[0] for row in ctx.latent_model().table6()}
         shown = set()
         for flow in re.findall(r"(\S+) -> (\S+)", run_experiment("table8", ctx).text()):

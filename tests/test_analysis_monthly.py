@@ -1,5 +1,6 @@
 """Tests for the monthly series analyses (Figures 1-4)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.monthly import (
@@ -60,12 +61,17 @@ class TestVisibilityShare:
         shares = visibility_share(dataset)
         assert shares[Month(2019, 8)]["created"] < 0.2
 
-    def test_completed_share_usually_higher(self, dataset):
-        shares = visibility_share(dataset)
-        higher = sum(
-            1 for v in shares.values() if v["completed"] >= v["created"]
-        )
-        assert higher / len(shares) > 0.55
+    def test_completed_share_usually_higher(self, seed_markets):
+        # Stated over the seed markets: one 2% draw can leave most of its
+        # thin months with few completed public contracts.
+        fractions = []
+        for market in seed_markets:
+            shares = visibility_share(market)
+            higher = sum(
+                1 for v in shares.values() if v["completed"] >= v["created"]
+            )
+            fractions.append(higher / len(shares))
+        assert np.mean(fractions) > 0.55
 
 
 class TestTypeProportions:

@@ -8,12 +8,14 @@ correct load or a quarantined entry plus a clean miss — never a crash.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
 
 import pytest
 
+from repro.core.lazy import ColumnBackedDataset
 from repro.devtools import faults
 from repro.obs.tracer import NullTracer, Tracer, set_tracer
 from repro.robust import InjectedCrash, disarm_all_crash_points
@@ -63,25 +65,26 @@ def entry_of(tiny_result, cache_dir):
 
 class TestRatingRoundTrip:
     def test_zero_rating_survives_the_cache(self, tiny_result, tmp_path):
-        contracts = tiny_result.dataset.contracts
-        victim = contracts[0]
-        victim.maker_rating = 0
-        victim.taker_rating = 0
-        try:
-            save_result(tiny_result, str(tmp_path))
-            loaded = load_result(tiny_result.config, str(tmp_path))
-            assert loaded is not None
-            match = next(
-                c for c in loaded.dataset.contracts
-                if c.contract_id == victim.contract_id
-            )
-            # The old encoding used 0 as the None sentinel, so a
-            # legitimate 0 rating came back as None.
-            assert match.maker_rating == 0
-            assert match.taker_rating == 0
-        finally:
-            victim.maker_rating = None
-            victim.taker_rating = None
+        # Rate the first contract 0 on both sides, in the rating columns
+        # the cache writes.
+        tables = dict(tiny_result.dataset.tables)
+        for key in ("c_maker_rating", "c_taker_rating"):
+            tables[key] = tables[key].copy()
+            tables[key][0] = 0
+        edited = dataclasses.replace(
+            tiny_result, dataset=ColumnBackedDataset(tables)
+        )
+        save_result(edited, str(tmp_path))
+        loaded = load_result(tiny_result.config, str(tmp_path))
+        assert loaded is not None
+        victim = int(tables["c_id"][0])
+        match = next(
+            c for c in loaded.dataset.contracts if c.contract_id == victim
+        )
+        # The old encoding used 0 as the None sentinel, so a
+        # legitimate 0 rating came back as None.
+        assert match.maker_rating == 0
+        assert match.taker_rating == 0
 
     def test_none_rating_still_round_trips(self, tiny_result, tmp_path):
         unrated = [

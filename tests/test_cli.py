@@ -84,14 +84,14 @@ class TestValidateAndExport:
 class TestStreamCommand:
     def test_stream_single_experiment(self, tmp_path, capsys):
         code = main(["stream", "funnel", "--scale", "0.01", "--seed", "9",
-                     "--engine", "fastgen", "--cache-dir", str(tmp_path)])
+                     "--cache-dir", str(tmp_path)])
         assert code == 0
         assert "proposed" in capsys.readouterr().out
 
     def test_stream_era_and_out(self, tmp_path, capsys):
         out = str(tmp_path / "artefacts")
         code = main(["stream", "funnel", "--scale", "0.01", "--seed", "9",
-                     "--engine", "fastgen", "--era", "COVID-19",
+                     "--era", "COVID-19",
                      "--cache-dir", str(tmp_path / "cache"), "--out", out])
         assert code == 0
         assert "era=COVID-19" in capsys.readouterr().out
@@ -99,7 +99,6 @@ class TestStreamCommand:
 
     def test_stream_window(self, tmp_path, capsys):
         code = main(["stream", "growth", "--scale", "0.01", "--seed", "9",
-                     "--engine", "fastgen",
                      "--window", "2019-03", "2019-06",
                      "--cache-dir", str(tmp_path)])
         assert code == 0

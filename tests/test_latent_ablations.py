@@ -22,10 +22,8 @@ from repro.stats.overdispersion import dispersion_index, within_class_dispersion
 
 @pytest.fixture(scope="module")
 def user_months():
-    """The pooled user-month count matrix of the object-engine market."""
-    dataset = generate_market(
-        scale=0.05, seed=20201027, engine="object"
-    ).dataset
+    """The pooled user-month count matrix of the scale-0.05 market."""
+    dataset = generate_market(scale=0.05, seed=20201027).dataset
     panel, _ = user_month_profiles(dataset)
     return np.vstack([np.vstack(list(p.values())) for p in panel if p])
 

@@ -150,12 +150,12 @@ class TestCacheKeyCompleteness:
         files[cache_py] = files[cache_py].replace(
             needle,
             'NON_STRUCTURAL_FIELDS: "frozenset[str]" = '
-            'frozenset({"n_cohorts"})',
+            'frozenset({"attachment_alpha"})',
         )
         findings = lint_sources(files, rules=[CacheKeyCompleteness()])
         assert findings, "excluding a live field must trip R010"
         assert all(f.rule == "R010" for f in findings)
-        assert any("n_cohorts" in f.message for f in findings)
+        assert any("attachment_alpha" in f.message for f in findings)
 
 
 # --------------------------------------------------------------------- #

@@ -34,7 +34,7 @@ from repro.core.timeutils import Month
 from repro.obs import disable_tracing, enable_tracing
 from repro.synth import SimulationConfig
 from repro.synth.cache import cached_generate, cached_partitioned_store
-from repro.synth.fastgen import generate_market_fast
+from repro.synth.engine import generate_market
 
 SCALE = 0.02
 SEED = 7
@@ -49,7 +49,7 @@ def _reset_tracer():
 
 @pytest.fixture(scope="module")
 def batch_result():
-    return generate_market_fast(scale=SCALE, seed=SEED)
+    return generate_market(scale=SCALE, seed=SEED)
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +348,7 @@ class TestLegacyMaterialization:
     eager in-memory load when legacy consumers touch ``.users`` /
     ``.contracts``."""
 
-    @pytest.mark.parametrize("engine", ["fastgen", "object"])
+    @pytest.mark.parametrize("engine", ["fastgen", "auto"])
     def test_entity_views_match_eager_load(self, tmp_path, engine):
         kwargs = dict(scale=SCALE, seed=SEED, engine=engine,
                       cache_dir=str(tmp_path))

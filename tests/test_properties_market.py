@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blockchain.chain import Ledger, make_address, make_txhash
 from repro.blockchain.rates import RateOracle
-from repro.core import ContractType
+from repro.core import Visibility
+from repro.synth import SimulationConfig
 from repro.synth.config import interpolate_curve
+from repro.synth.engine import run_engine
 from repro.core.timeutils import Month, month_range
-from repro.synth.obligations import ObligationGenerator
 
 _ORACLE = RateOracle()
 
@@ -62,21 +63,27 @@ class TestLedgerProperties:
 
 
 class TestObligationProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=10**6),
-        st.sampled_from(list(ContractType)),
-        st.integers(min_value=0, max_value=2),
-    )
-    def test_spec_invariants(self, seed, ctype, era):
-        generator = ObligationGenerator(np.random.default_rng(seed), _ORACLE)
-        spec = generator.generate(ctype, era, dt.date(2019, 6, 15))
-        assert spec.value_usd <= 9900.0
-        assert spec.value_usd >= 0.0
-        assert isinstance(spec.maker_text, str) and isinstance(spec.taker_text, str)
-        assert spec.categories
-        if spec.uses_bitcoin:
-            assert "bitcoin" in spec.methods
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_spec_invariants(self, seed):
+        # A public-share curve of 1.0 makes (nearly) every contract
+        # public, and every public contract carries a spec.
+        result = run_engine(SimulationConfig(
+            scale=0.002, seed=seed, public_share=[("2018-06", 1.0)],
+            generate_posts=False,
+        ))
+        tables = result.dataset.tables
+        specs = result.truth.specs
+        public = tables["c_visibility"] == tuple(Visibility).index(Visibility.PUBLIC)
+        assert sorted(specs) == tables["c_id"][public].tolist()
+        for row in np.flatnonzero(public).tolist():
+            spec = specs[int(tables["c_id"][row])]
+            assert spec.maker_text == tables["c_maker_obligation"][row]
+            assert spec.taker_text == tables["c_taker_obligation"][row]
+            assert 0.0 <= spec.value_usd <= 9900.0
+            assert spec.categories
+            if spec.uses_bitcoin:
+                assert "bitcoin" in spec.methods
 
 
 class TestCurveProperties:

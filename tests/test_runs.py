@@ -6,6 +6,7 @@ diff to zero."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -76,7 +77,7 @@ def make_context(config: SimulationConfig, experiments, **overrides):
         config_sha256=config_fingerprint(config),
         seed=config.seed,
         scale=config.scale,
-        engine="object",
+        engine="fastgen",
         store="resident",
         experiments=tuple(experiments),
         config={
@@ -603,6 +604,22 @@ class TestRunsCli:
     def test_show_unknown_run_exits_2(self, runs_env, capsys):
         assert main(["runs", "show", "no-such-run"]) == 2
         assert "no run" in capsys.readouterr().err
+
+    def test_object_engine_run_is_refused_by_resume(
+        self, runs_env, tmp_path, tiny_result, capsys
+    ):
+        # A run recorded while the object engine existed names a config
+        # that no longer builds; resume says so instead of guessing.
+        store = RunStore(str(tmp_path / "runs"))
+        context = dataclasses.replace(
+            make_context(tiny_result.config, ["table1"]),
+            config={"scale": SCALE, "seed": SEED, "engine": "object",
+                    "generate_posts": False},
+        )
+        run_id = store.begin(context).run_id
+        assert main(["runs", "resume", run_id]) == 2
+        assert "not reconstructable" in capsys.readouterr().err
+        assert store.load(run_id).pending == ["table1"]
 
     def test_crashed_report_is_resumable_from_the_cli(
         self, runs_env, tmp_path, monkeypatch, capsys

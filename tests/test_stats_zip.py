@@ -1,5 +1,6 @@
 """Tests for the Zero-Inflated Poisson regression."""
 
+from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.stats import norm
 from repro.analysis.coldstart import _design, cold_start_records
 from repro.core.eras import COVID19
 from repro.obs import disable_tracing, enable_tracing
+from repro.report.experiments import _zip_lines
 from repro.stats import zip_model
 from repro.stats.poisson_glm import add_intercept, fit_poisson
 from repro.stats.vuong import vuong_test
@@ -295,9 +297,9 @@ class TestSolver:
         assert np.abs(params - ref_params).max() <= 1e-5
 
     def test_reaches_the_maximum_lbfgs_stops_short_of(self):
-        # COVID-19, all users, seed 713009: L-BFGS-B reports convergence
-        # at log L = -1098.093, 2.06 below the maximum.
-        X, Z, y = report_design(713009, first_time=False)
+        # COVID-19, first-time users, seed 729763: L-BFGS-B reports
+        # convergence at log L = -414.402, 1.77 below the maximum.
+        X, Z, y = report_design(729763, first_time=True)
         design_x, design_z = add_intercept(X), add_intercept(Z)
         _, ref_loglik, ref_converged = ref_fit_raw(design_x, design_z, y)
         result = fit_zip(X, y, Z)
@@ -314,6 +316,30 @@ class TestSolver:
         assert result.converged
         assert np.isfinite(result.log_likelihood)
         assert result.zero_coef[-1] < -5.0
+
+    def test_separated_coefficient_is_marked_in_the_report(self):
+        # Tables 9-10 mark the separated coefficient, and only it, and say
+        # what the mark means.
+        X, Z, y = simulate_zip(n=2000)
+        rng = np.random.default_rng(5)
+        separated = np.where(y > 0, rng.poisson(2.0, len(y)), 0).astype(float)
+        result = fit_zip(X, y, np.column_stack([Z, separated]))
+        era_zip = SimpleNamespace(
+            zip_result=result, n_obs=len(y),
+            vuong=SimpleNamespace(statistic=0.0, p_value=1.0),
+        )
+        lines = _zip_lines("--- separated ---", era_zip)
+        marked = [line for line in lines if "†" in line]
+        names = result.count_names + result.zero_names
+        assert [name for name in names if any(
+            line.split()[:2] == [name, "†"] for line in marked
+        )] == [result.zero_names[-1]]
+        assert marked[-1].startswith("† separated or collapsed")
+        clean = _zip_lines("--- clean ---", SimpleNamespace(
+            zip_result=fit_zip(X, y, Z), n_obs=len(y),
+            vuong=era_zip.vuong,
+        ))
+        assert not any("†" in line for line in clean)
 
     def test_counts_iterations_under_a_span(self):
         X, Z, y = simulate_zip(n=1000)

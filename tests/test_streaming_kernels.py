@@ -1,6 +1,6 @@
 """Incremental streaming kernels: exact parity with the resident
 kernels (two seeds, full history and per era), merge algebra, window
-selection, the streamed generator's store-vs-batch equivalence, the
+selection, the streamed store's equality with the resident market, the
 partitioned cache entry, and the streaming experiment registry."""
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.report.stream_experiments import (
 )
 from repro.synth import SimulationConfig
 from repro.synth.cache import cached_generate, cached_partitioned_store
-from repro.synth.fastgen import generate_market_fast
+from repro.synth.engine import generate_market
 from repro.synth.streamgen import stream_partitioned
 
 SCALE = 0.02
@@ -54,6 +54,14 @@ def _reset_tracer():
     disable_tracing()
 
 
+def _assert_same_tables(got, want):
+    assert sorted(got) == sorted(want)
+    for key, column in want.items():
+        if column.dtype == object:
+            column = column.astype(np.str_)
+        assert np.array_equal(got[key], column), key
+
+
 @pytest.fixture(scope="module", params=SEEDS)
 def seed(request):
     return request.param
@@ -61,16 +69,15 @@ def seed(request):
 
 @pytest.fixture(scope="module")
 def resident(seed):
-    """The batch fastgen dataset — the resident-kernel reference."""
-    return generate_market_fast(scale=SCALE, seed=seed).dataset
+    """The resident market — the resident-kernel reference."""
+    return generate_market(scale=SCALE, seed=seed).dataset
 
 
 @pytest.fixture(scope="module")
 def store(seed, tmp_path_factory):
     """The same market, streamed month-by-month into a partitioned store."""
     path = str(tmp_path_factory.mktemp(f"stream-{seed}") / "market-p3")
-    config = SimulationConfig(scale=SCALE, seed=seed, engine="fastgen")
-    stream_partitioned(config, path)
+    stream_partitioned(SimulationConfig(scale=SCALE, seed=seed), path)
     return PartitionStore.open(path)
 
 
@@ -182,7 +189,8 @@ class TestMergeAlgebra:
 
 
 class TestStreamedStore:
-    """stream_partitioned writes the same market the batch engine builds."""
+    """stream_partitioned writes the same market the resident build
+    concatenates."""
 
     def test_entity_counts_match_batch(self, resident, store):
         tables = store.tables()
@@ -192,46 +200,35 @@ class TestStreamedStore:
         assert len(tables["x_txhash"]) == len(resident.tables["x_txhash"])
 
     def test_row_content_matches_batch(self, resident, store):
-        """Row multisets agree column-wise after creation-order sort;
-        ids are relabeled by the striped id policy, so id columns are
-        compared as cardinalities, value columns exactly."""
-        tables = store.tables()
-        for key in ("c_created_us", "c_completed_us", "c_type", "c_status",
-                    "c_visibility"):
-            want = np.sort(np.asarray(resident.tables[key]))
-            got = np.sort(np.asarray(tables[key]))
-            assert np.array_equal(want.astype(got.dtype), got), key
-        assert len(np.unique(tables["c_maker"])) == \
-            len(np.unique(resident.tables["c_maker"]))
+        """Every column equal, ids and row order included."""
+        _assert_same_tables(store.tables(), resident.tables)
 
     def test_streaming_is_deterministic(self, seed, store, tmp_path_factory):
         path = str(tmp_path_factory.mktemp("again") / "market-p3")
-        config = SimulationConfig(scale=SCALE, seed=seed, engine="fastgen")
-        stream_partitioned(config, path)
+        stream_partitioned(SimulationConfig(scale=SCALE, seed=seed), path)
         again = PartitionStore.open(path)
         assert again.manifest["checksums"] == store.manifest["checksums"]
 
 
 class TestPartitionedCache:
     def test_miss_then_hit(self, tmp_path):
-        kwargs = dict(scale=SCALE, seed=5, cache_dir=str(tmp_path),
-                      engine="fastgen")
+        kwargs = dict(scale=SCALE, seed=5, cache_dir=str(tmp_path))
         store, hit = cached_partitioned_store(**kwargs)
         assert hit is False
         again, hit = cached_partitioned_store(**kwargs)
         assert hit is True
         assert again.manifest["checksums"] == store.manifest["checksums"]
 
-    def test_object_engine_path_matches_resident_cache(self, tmp_path):
-        kwargs = dict(scale=0.01, seed=5, cache_dir=str(tmp_path),
-                      engine="object")
+    def test_store_matches_resident_cache(self, tmp_path):
+        # Serve's compute scale: the store tier and the resident cache
+        # hold one market, column for column.
+        kwargs = dict(scale=0.004, seed=9, cache_dir=str(tmp_path))
         store, _ = cached_partitioned_store(**kwargs)
         result, _ = cached_generate(**kwargs)
-        assert len(store.tables()["c_id"]) == len(result.dataset.contracts)
+        _assert_same_tables(store.tables(), result.dataset.tables)
 
     def test_refresh_rebuilds(self, tmp_path):
-        kwargs = dict(scale=SCALE, seed=5, cache_dir=str(tmp_path),
-                      engine="fastgen")
+        kwargs = dict(scale=SCALE, seed=5, cache_dir=str(tmp_path))
         cached_partitioned_store(**kwargs)
         _, hit = cached_partitioned_store(refresh=True, **kwargs)
         assert hit is False

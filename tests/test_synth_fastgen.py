@@ -1,26 +1,21 @@
-"""The columnar generation engine (repro.synth.fastgen).
+"""The market generator (repro.synth.fastgen).
 
 Four contracts are under test:
 
-* **Structure** — the merged tables use the cache column schema, ids are
-  referentially intact, enum codes are in range, and the invariants the
-  object engine guarantees (disputed => public, completed only when
-  COMPLETE, ratings only on public rows) hold on the arrays.
+* **Structure** — the tables use the cache column schema, ids are
+  referentially intact, enum codes are in range, and the model's
+  invariants (disputed => public, completed only when COMPLETE, ratings
+  only on public rows) hold on the arrays.
 * **Determinism** — same (scale, seed, config) gives identical tables
-  run-to-run *and at any worker count*: sharding is by ``n_cohorts``
-  (structural, fingerprinted), workers only map shards to processes.
-  Cache keys are therefore worker-count-independent.
-* **Statistical parity** — fastgen implements the same generative model
-  as :class:`~repro.synth.marketsim.MarketSimulator`, so on fixed seeds
-  the two engines agree on aggregate shape (monthly profile, type mix,
-  completion/public rates, degree concentration) within tolerance.
-  Parity is statistical, never bitwise: the engines draw in different
-  orders.  Post volume gets a looser bound — each cohort keeps at least
-  one member per class roster alive, a finite-size floor that inflates
-  posting slightly at tiny scales (documented in docs/architecture.md).
-* **Integration** — ``cached_generate`` round-trips fastgen results
-  through the npz cache as lazy column-backed datasets, saving one counts
-  its entities without building objects, and the lazy truth/object views
+  run-to-run, whatever ``workers`` a caller passes.
+* **Calibration** — on fixed seeds the market follows the config's
+  curves: the monthly profile tracks ``created_per_month``, the type mix
+  the type-share curves, completion and visibility Table 1's status
+  distribution and the public-share curve, and preferential attachment
+  concentrates degree beyond what a market without it shows.
+* **Integration** — ``cached_generate`` round-trips results through the
+  npz cache as lazy column-backed datasets, saving one counts its
+  entities without building objects, and the lazy truth/object views
   materialize on demand.
 """
 
@@ -32,18 +27,23 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.columns import CTYPE_ORDER, NAT_US, STATUS_ORDER
+from repro.core.columns import (
+    CTYPE_ORDER, NAT_US, STATUS_ORDER, month_index_of, month_indexes_of,
+)
 from repro.core.entities import ContractStatus, Visibility
+from repro.core.eras import all_months
 from repro.core.lazy import RATING_SENTINEL, ColumnBackedDataset
 from repro.obs import disable_tracing, enable_tracing
 from repro.synth import SimulationConfig
-from repro.synth.cache import cached_generate, config_fingerprint, save_result
-from repro.synth.engine import run_engine
-from repro.synth.fastgen import FastMarketSimulator, generate_market_fast
-from repro.synth.marketsim import MarketSimulator
+from repro.synth import config as cfg
+from repro.synth.cache import cached_generate, save_result
+from repro.synth.config import interpolate_curve
+from repro.synth.engine import generate_market, run_engine
+from repro.synth.marketsim import _TYPES
 
 PARITY_SCALE = 0.1
 PARITY_SEEDS = (7, 99)
+_MONTHS = all_months()
 
 _COMPLETE = STATUS_ORDER.index(ContractStatus.COMPLETE)
 _DISPUTED = STATUS_ORDER.index(ContractStatus.DISPUTED)
@@ -52,21 +52,28 @@ _PUBLIC = tuple(Visibility).index(Visibility.PUBLIC)
 
 @pytest.fixture(scope="module")
 def fast_small():
-    """One fastgen market shared by the structure tests."""
-    return generate_market_fast(scale=0.05, seed=11)
+    """One market shared by the structure tests."""
+    return generate_market(scale=0.05, seed=11)
 
 
 @pytest.fixture(scope="module")
-def parity_pair():
-    """(fastgen result, object result) per seed at parity scale."""
-    pairs = {}
-    for seed in PARITY_SEEDS:
-        fast = generate_market_fast(scale=PARITY_SCALE, seed=seed)
-        obj = MarketSimulator(
-            SimulationConfig(scale=PARITY_SCALE, seed=seed)
-        ).run()
-        pairs[seed] = (fast, obj)
-    return pairs
+def parity_markets():
+    """One market per seed at calibration scale."""
+    return {
+        seed: generate_market(scale=PARITY_SCALE, seed=seed)
+        for seed in PARITY_SEEDS
+    }
+
+
+def _by_month(created_us: np.ndarray) -> np.ndarray:
+    """Rows per calendar month of the generator's grid."""
+    idx = month_indexes_of(created_us)
+    return np.asarray([(idx == month_index_of(m)).sum() for m in _MONTHS])
+
+
+def _curve(curve) -> np.ndarray:
+    values = interpolate_curve(curve, _MONTHS)
+    return np.asarray([values[m] for m in _MONTHS], dtype=float)
 
 
 def _tables_equal(a, b) -> None:
@@ -120,7 +127,7 @@ class TestStructure:
         assert np.all(t["c_visibility"][disputed] == _PUBLIC)
 
     def test_completion_timestamps_match_status(self, fast_small):
-        # Like the object engine, only COMPLETE rows may carry a
+        # Only COMPLETE rows may carry a
         # completion timestamp (and not all do — completion-time is only
         # modelled for some types), and it always follows creation.
         t = fast_small.dataset.tables
@@ -138,8 +145,8 @@ class TestStructure:
         assert np.array_equal(has_text, public)
 
     def test_rating_value_domain(self, fast_small):
-        # Contract b-ratings are thumbs (+1/-1) or the None sentinel —
-        # matching the object engine, which rates private contracts too.
+        # Contract b-ratings are thumbs (+1/-1) or the None sentinel;
+        # private contracts are rated too.
         t = fast_small.dataset.tables
         for key in ("c_maker_rating", "c_taker_rating"):
             values = set(np.unique(t[key]).tolist())
@@ -150,8 +157,7 @@ class TestStructure:
         t = fast_small.dataset.tables
         hashes = [h for h in t["c_btc_txhash"] if h]
         ledger_hashes = {tx.txhash for tx in fast_small.ledger}
-        # VERIFY_MIX deliberately omits/mismatches most receipts (the
-        # object engine verifies ~40% of stated hashes too), so the
+        # VERIFY_MIX deliberately omits/mismatches most receipts, so the
         # containment is partial — but the ledger itself is non-trivial
         # and every ledger row carries a positive amount.
         assert ledger_hashes
@@ -177,7 +183,7 @@ class TestStructure:
     def test_columnstore_builds_without_objects(self):
         # Fresh dataset: the shared fixture's object views may already
         # be materialized by other tests.
-        result = generate_market_fast(scale=0.02, seed=3)
+        result = generate_market(scale=0.02, seed=3)
         store = result.dataset.columns()
         assert store.n == len(result.dataset.tables["c_id"])
         # building the store must not have materialized entity lists
@@ -185,19 +191,19 @@ class TestStructure:
 
 
 # --------------------------------------------------------------------- #
-# determinism / worker independence
+# determinism
 # --------------------------------------------------------------------- #
 
 
 class TestDeterminism:
     def test_same_seed_same_tables(self):
-        a = generate_market_fast(scale=0.02, seed=5)
-        b = generate_market_fast(scale=0.02, seed=5)
+        a = generate_market(scale=0.02, seed=5)
+        b = generate_market(scale=0.02, seed=5)
         _tables_equal(a.dataset.tables, b.dataset.tables)
 
     def test_different_seeds_differ(self):
-        a = generate_market_fast(scale=0.02, seed=5)
-        b = generate_market_fast(scale=0.02, seed=6)
+        a = generate_market(scale=0.02, seed=5)
+        b = generate_market(scale=0.02, seed=6)
         assert len(a.dataset.tables["c_id"]) != len(b.dataset.tables["c_id"]) \
             or not np.array_equal(
                 a.dataset.tables["c_created_us"],
@@ -205,128 +211,96 @@ class TestDeterminism:
             )
 
     def test_worker_count_does_not_change_output(self):
-        config = SimulationConfig(scale=0.02, seed=5, engine="fastgen")
-        serial = FastMarketSimulator(config).run(workers=1)
-        forked = FastMarketSimulator(config).run(workers=3)
+        # run_engine keeps its ``workers`` parameter for callers that pass
+        # it; generation is one stream in one process either way.
+        config = SimulationConfig(scale=0.02, seed=5)
+        serial = run_engine(config, workers=1)
+        forked = run_engine(config, workers=3)
         _tables_equal(serial.dataset.tables, forked.dataset.tables)
         assert [tx.txhash for tx in serial.ledger] == [
             tx.txhash for tx in forked.ledger
         ]
 
-    def test_cohorts_are_structural(self):
-        # n_cohorts changes the dataset (and the fingerprint); workers
-        # never do.  Guard the fingerprint contract both ways.
-        base = SimulationConfig(scale=0.02, seed=5, engine="fastgen")
-        other = SimulationConfig(
-            scale=0.02, seed=5, engine="fastgen", n_cohorts=2
-        )
-        assert config_fingerprint(base) != config_fingerprint(other)
-
-    def test_engine_is_fingerprinted(self):
-        obj = SimulationConfig(scale=0.02, seed=5)
-        fast = SimulationConfig(scale=0.02, seed=5, engine="fastgen")
-        assert config_fingerprint(obj) != config_fingerprint(fast)
-
 
 # --------------------------------------------------------------------- #
-# statistical parity vs the object engine
+# calibration against the config's curves
 # --------------------------------------------------------------------- #
 
 
 class TestParity:
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
-    def test_entity_counts(self, parity_pair, seed):
-        fast, obj = parity_pair[seed]
-        t = fast.dataset.tables
-        assert len(t["c_id"]) == pytest.approx(
-            len(obj.dataset.contracts), rel=0.05
-        )
-        assert len(t["user_id"]) == pytest.approx(
-            len(obj.dataset.users), rel=0.08
-        )
-        assert len(t["t_id"]) == pytest.approx(
-            len(obj.dataset.threads), rel=0.15
-        )
-        # Post volume carries the per-cohort roster floor: ~+10% at this
-        # scale with four cohorts, shrinking as scale grows.
-        assert len(t["p_id"]) == pytest.approx(
-            len(obj.dataset.posts), rel=0.30
-        )
+    def test_entity_counts(self, parity_markets, seed):
+        t = parity_markets[seed].dataset.tables
+        expected = _curve(cfg.CREATED_PER_MONTH).sum() * PARITY_SCALE
+        assert len(t["c_id"]) == pytest.approx(expected, rel=0.03)
+        assert 0 < len(t["user_id"]) < len(t["c_id"])
+        public = t["c_visibility"] == _PUBLIC
+        linked = float(np.mean(t["c_thread"][public] >= 0))
+        assert linked == pytest.approx(cfg.THREAD_LINK_PROB, abs=0.04)
+        marketplace = float(np.mean(t["p_marketplace"]))
+        assert marketplace == pytest.approx(cfg.MARKETPLACE_POST_SHARE, abs=0.02)
 
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
-    def test_rate_parity(self, parity_pair, seed):
-        fast, obj = parity_pair[seed]
-        t = fast.dataset.tables
-        contracts = obj.dataset.contracts
+    def test_rate_parity(self, parity_markets, seed):
+        # Completion follows Table 1's per-type rows (the inflation
+        # offsets the demotions) under the realised type mix; visibility
+        # follows the public-share curve on the rows its boost spares.
+        t = parity_markets[seed].dataset.tables
+        expected_complete = sum(
+            cfg.STATUS_PROBS[ctype][ContractStatus.COMPLETE]
+            * np.mean(t["c_type"] == CTYPE_ORDER.index(ctype))
+            for ctype in _TYPES
+        )
         f_complete = float(np.mean(t["c_status"] == _COMPLETE))
-        o_complete = sum(
-            1 for c in contracts if c.status is ContractStatus.COMPLETE
-        ) / len(contracts)
-        assert f_complete == pytest.approx(o_complete, abs=0.03)
-        f_public = float(np.mean(t["c_visibility"] == _PUBLIC))
-        o_public = sum(
-            1 for c in contracts if c.visibility is Visibility.PUBLIC
-        ) / len(contracts)
-        assert f_public == pytest.approx(o_public, abs=0.03)
+        assert f_complete == pytest.approx(expected_complete, abs=0.03)
+        plain = (t["c_status"] != _COMPLETE) & (t["c_status"] != _DISPUTED)
+        base = _curve(cfg.PUBLIC_SHARE)
+        expected_public = float(
+            (_by_month(t["c_created_us"][plain]) * base).sum()
+        )
+        observed_public = int((t["c_visibility"][plain] == _PUBLIC).sum())
+        assert observed_public == pytest.approx(expected_public, rel=0.1)
 
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
-    def test_type_mix_parity(self, parity_pair, seed):
-        fast, obj = parity_pair[seed]
-        t = fast.dataset.tables
-        contracts = obj.dataset.contracts
-        f_mix = np.bincount(t["c_type"], minlength=len(CTYPE_ORDER)) / len(
-            t["c_type"]
-        )
-        counts = {ctype: 0 for ctype in CTYPE_ORDER}
-        for c in contracts:
-            counts[c.ctype] += 1
-        o_mix = np.asarray(
-            [counts[ctype] / len(contracts) for ctype in CTYPE_ORDER]
-        )
-        assert np.all(np.abs(f_mix - o_mix) < 0.03)
+    def test_type_mix_parity(self, parity_markets, seed):
+        t = parity_markets[seed].dataset.tables
+        volume = _curve(cfg.CREATED_PER_MONTH)
+        shares = np.stack([_curve(cfg.TYPE_SHARES[ctype]) for ctype in _TYPES])
+        expected = (shares / shares.sum(axis=0) * volume).sum(axis=1)
+        expected /= expected.sum()
+        observed = np.asarray([
+            np.mean(t["c_type"] == CTYPE_ORDER.index(ctype)) for ctype in _TYPES
+        ])
+        assert np.all(np.abs(observed - expected) < 0.02)
 
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
-    def test_monthly_profile_parity(self, parity_pair, seed):
-        fast, obj = parity_pair[seed]
-        day_us = 86_400_000_000
-        f_months = np.bincount(
-            (fast.dataset.tables["c_created_us"] // (30 * day_us)).astype(int)
-        )
-        o_days = np.asarray(
-            [
-                int(np.datetime64(c.created_at, "us").astype(np.int64))
-                for c in obj.dataset.contracts
-            ]
-        )
-        o_months = np.bincount((o_days // (30 * day_us)).astype(int))
-        width = max(len(f_months), len(o_months))
-        f_months = np.pad(f_months, (0, width - len(f_months)))
-        o_months = np.pad(o_months, (0, width - len(o_months)))
-        corr = np.corrcoef(f_months, o_months)[0, 1]
-        assert corr > 0.98
+    def test_monthly_profile_parity(self, parity_markets, seed):
+        counts = _by_month(parity_markets[seed].dataset.tables["c_created_us"])
+        expected = _curve(cfg.CREATED_PER_MONTH) * PARITY_SCALE
+        assert np.corrcoef(counts, expected)[0, 1] > 0.98
+        assert np.all(np.abs(counts - expected) < 0.25 * expected)
 
     @pytest.mark.parametrize("seed", PARITY_SEEDS)
-    def test_degree_concentration_parity(self, parity_pair, seed):
-        # Preferential attachment shapes both engines' degree tails the
-        # same way: compare the contract share of the top decile of
-        # participants.
-        fast, obj = parity_pair[seed]
+    def test_degree_concentration_parity(self, parity_markets, seed):
+        # Preferential attachment shapes the degree tail: the top decile
+        # of participants holds clearly more contract endpoints than in
+        # the same market drawn without attachment (alpha = 0).
 
-        def top_decile_share(maker_ids, taker_ids):
+        def top_decile_share(tables):
             degrees = np.bincount(
-                np.concatenate([maker_ids, taker_ids])
+                np.concatenate([tables["c_maker"], tables["c_taker"]])
             )
             degrees = np.sort(degrees[degrees > 0])[::-1]
             top = max(1, len(degrees) // 10)
             return degrees[:top].sum() / degrees.sum()
 
-        t = fast.dataset.tables
-        f_share = top_decile_share(t["c_maker"], t["c_taker"])
-        o_share = top_decile_share(
-            np.asarray([c.maker_id for c in obj.dataset.contracts]),
-            np.asarray([c.taker_id for c in obj.dataset.contracts]),
+        flat = generate_market(
+            scale=PARITY_SCALE, seed=seed, attachment_alpha=0.0,
+            generate_posts=False,
         )
-        assert f_share == pytest.approx(o_share, abs=0.08)
+        attached = top_decile_share(parity_markets[seed].dataset.tables)
+        assert attached > top_decile_share(flat.dataset.tables) + 0.05
+        assert 0.5 < attached < 0.7
 
 
 # --------------------------------------------------------------------- #
@@ -337,12 +311,11 @@ class TestParity:
 class TestCacheIntegration:
     def test_round_trip_is_lazy_and_equal(self, tmp_path):
         fresh, hit = cached_generate(
-            scale=0.02, seed=5, cache_dir=str(tmp_path), engine="fastgen",
-            gen_workers=2,
+            scale=0.02, seed=5, cache_dir=str(tmp_path),
         )
         assert not hit
         loaded, hit = cached_generate(
-            scale=0.02, seed=5, cache_dir=str(tmp_path), engine="fastgen",
+            scale=0.02, seed=5, cache_dir=str(tmp_path),
         )
         assert hit
         assert isinstance(loaded.dataset, ColumnBackedDataset)
@@ -357,20 +330,8 @@ class TestCacheIntegration:
             tx.txhash for tx in loaded.ledger
         ]
 
-    def test_gen_workers_never_changes_the_cache_key(self, tmp_path):
-        _, hit = cached_generate(
-            scale=0.02, seed=5, cache_dir=str(tmp_path), engine="fastgen",
-            gen_workers=1,
-        )
-        assert not hit
-        _, hit = cached_generate(
-            scale=0.02, seed=5, cache_dir=str(tmp_path), engine="fastgen",
-            gen_workers=4,
-        )
-        assert hit
-
     def test_save_counts_without_materializing(self, tmp_path):
-        result = run_engine(SimulationConfig(scale=0.02, seed=5, engine="fastgen"))
+        result = run_engine(SimulationConfig(scale=0.02, seed=5))
         tracer = enable_tracing()
         try:
             entry = save_result(result, str(tmp_path))
@@ -388,11 +349,3 @@ class TestCacheIntegration:
             "ratings": len(tables["r_contract"]),
             "transactions": len(result.ledger),
         }
-
-    def test_engines_use_distinct_entries(self, tmp_path):
-        _, hit = cached_generate(
-            scale=0.02, seed=5, cache_dir=str(tmp_path), engine="fastgen",
-        )
-        assert not hit
-        _, hit = cached_generate(scale=0.02, seed=5, cache_dir=str(tmp_path))
-        assert not hit  # object engine missed: different fingerprint

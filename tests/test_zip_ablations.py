@@ -24,10 +24,8 @@ from repro.stats.zip_model import fit_zip
 
 @pytest.fixture(scope="module")
 def stable_design():
-    """Table 9's STABLE design on the object-engine market."""
-    dataset = generate_market(
-        scale=0.05, seed=20201027, engine="object"
-    ).dataset
+    """Table 9's STABLE design on the scale-0.05 market."""
+    dataset = generate_market(scale=0.05, seed=20201027).dataset
     records = cold_start_records(dataset, STABLE)
     return _design(records, include_first_time=True)
 
