@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -287,14 +287,13 @@ def zip_subsamples(dataset: MarketDataset) -> Dict[Tuple[str, str], EraZip]:
 
 
 def cold_starters(dataset: MarketDataset, era: Era = STABLE) -> List[int]:
-    """Users who accepted their *first* contract during ``era``."""
-    first_accept: Dict[int, _dt.datetime] = {}
-    for contract in dataset.contracts:
-        taker = contract.taker_id
-        when = contract.created_at
-        if taker not in first_accept or when < first_accept[taker]:
-            first_accept[taker] = when
-    return sorted(user for user, when in first_accept.items() if era.contains(when))
+    """Users who accepted their *first* contract during ``era``, by id."""
+    store = dataset.columns()
+    # Users who never accepted keep int64-max, past any era's end.
+    first_accept = np.full(store.n_users, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(first_accept, store.taker_code, store.created_us)
+    starters = store.window_mask(first_accept, *_era_bounds(era))
+    return store.user_ids[starters].tolist()
 
 
 @dataclass
@@ -420,12 +419,11 @@ def cold_start_summary(
         activity = all_activity.get(user)
         return float(activity.reputation) if activity else 0.0
 
-    covid_start, covid_end = _era_bounds(COVID19)
-    covid_takers = {
-        c.taker_id
-        for c in dataset.contracts
-        if covid_start <= c.created_at <= covid_end
-    }
+    store = dataset.columns()
+    covid_takers = set(
+        store.taker_id[store.window_mask(store.created_us, *_era_bounds(COVID19))]
+        .tolist()
+    )
 
     def continuation(users: Sequence[int]) -> float:
         if not users:
@@ -434,24 +432,18 @@ def cold_start_summary(
 
     setup_starters = cold_starters(dataset, SETUP)
 
-    def median_of(values: Sequence[float]) -> float:
-        return float(np.median(values)) if len(values) else 0.0
+    def median_of(users: Sequence[int], value: Callable[[int], float]) -> float:
+        return float(np.median([value(u) for u in users])) if len(users) else 0.0
 
     return ColdStartSummary(
         n_cold_starters=len(clustering.users),
         n_outliers=len(clustering.outlier_users),
         major_share=clustering.major_share,
-        median_lifespan_all_days=median_of([lifespan(u) for u in clustering.users]),
-        median_lifespan_outliers_days=median_of(
-            [lifespan(u) for u in clustering.outlier_users]
-        ),
+        median_lifespan_all_days=median_of(clustering.users, lifespan),
+        median_lifespan_outliers_days=median_of(clustering.outlier_users, lifespan),
         continue_into_covid_all=continuation(clustering.users),
         continue_into_covid_outliers=continuation(clustering.outlier_users),
-        median_reputation_all=median_of([reputation(u) for u in clustering.users]),
-        median_reputation_outliers=median_of(
-            [reputation(u) for u in clustering.outlier_users]
-        ),
-        median_reputation_setup_starters=median_of(
-            [reputation(u) for u in setup_starters]
-        ),
+        median_reputation_all=median_of(clustering.users, reputation),
+        median_reputation_outliers=median_of(clustering.outlier_users, reputation),
+        median_reputation_setup_starters=median_of(setup_starters, reputation),
     )

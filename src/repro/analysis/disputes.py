@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from ..core.columns import month_from_index
 from ..core.dataset import MarketDataset
-from ..core.entities import Contract, ContractStatus
-from ..core.eras import ERAS, Era
-from ..core.timeutils import Month, month_of
+from ..core.entities import ContractStatus
+from ..core.eras import ERAS
+from ..core.timeutils import Month
 from ..text.taxonomy import UNCATEGORISED, ActivityCategorizer
 
 __all__ = [
@@ -34,40 +37,42 @@ __all__ = [
 
 def dispute_rate_by_month(dataset: MarketDataset) -> Dict[Month, float]:
     """Share of contracts created each month that ended disputed."""
-    totals: Dict[Month, int] = {}
-    disputed: Dict[Month, int] = {}
-    for contract in dataset.contracts:
-        month = month_of(contract.created_at)
-        totals[month] = totals.get(month, 0) + 1
-        if contract.status == ContractStatus.DISPUTED:
-            disputed[month] = disputed.get(month, 0) + 1
+    store = dataset.columns()
+    months, month_pos = np.unique(store.month_idx, return_inverse=True)
+    month_pos = month_pos.reshape(-1)
+    totals = np.bincount(month_pos, minlength=len(months)).tolist()
+    disputed = np.bincount(
+        month_pos[store.status_mask(ContractStatus.DISPUTED)],
+        minlength=len(months),
+    ).tolist()
     return {
-        month: disputed.get(month, 0) / totals[month] for month in sorted(totals)
+        month_from_index(month): count / total
+        for month, count, total in zip(months.tolist(), disputed, totals)
     }
 
 
 def dispute_rate_by_era(dataset: MarketDataset) -> Dict[str, float]:
     """Dispute rate per era (created contracts)."""
+    store = dataset.columns()
+    disputed = store.status_mask(ContractStatus.DISPUTED)
     rates: Dict[str, float] = {}
-    for era in ERAS:
-        contracts = dataset.in_era(era)
-        if not contracts:
-            rates[era.name] = 0.0
-            continue
-        count = sum(1 for c in contracts if c.status == ContractStatus.DISPUTED)
-        rates[era.name] = count / len(contracts)
+    for index, era in enumerate(ERAS):
+        in_era = store.era_mask(index)
+        total = int(in_era.sum())
+        rates[era.name] = int(disputed[in_era].sum()) / total if total else 0.0
     return rates
 
 
 def disputes_per_user(dataset: MarketDataset) -> Dict[int, int]:
     """Number of disputed contracts each user was party to (>=1 only)."""
-    counts: Dict[int, int] = {}
-    for contract in dataset.contracts:
-        if contract.status != ContractStatus.DISPUTED:
-            continue
-        for user in contract.parties():
-            counts[user] = counts.get(user, 0) + 1
-    return counts
+    store = dataset.columns()
+    disputed = store.status_mask(ContractStatus.DISPUTED)
+    counts = np.bincount(
+        np.concatenate([store.maker_code[disputed], store.taker_code[disputed]]),
+        minlength=store.n_users,
+    )
+    users = np.flatnonzero(counts)
+    return dict(zip(store.user_ids[users].tolist(), counts[users].tolist()))
 
 
 def disputed_goods(
@@ -78,10 +83,10 @@ def disputed_goods(
     first.  Disputed contracts are always public, so their obligations are
     observable — the paper finds most disputed deals exchange Bitcoin."""
     categorizer = categorizer or ActivityCategorizer()
+    store = dataset.columns()
+    rows = np.flatnonzero(store.status_mask(ContractStatus.DISPUTED))
     tally: Counter = Counter()
-    for contract in dataset.contracts:
-        if contract.status != ContractStatus.DISPUTED:
-            continue
+    for contract in dataset.contracts_at(rows):
         categories = categorizer.categorize_sides(
             contract.maker_obligation, contract.taker_obligation
         )
@@ -103,17 +108,16 @@ class DisputeSummary:
 
 
 def dispute_summary(dataset: MarketDataset) -> DisputeSummary:
-    """Compute the paper's headline dispute statistics in one pass."""
+    """Compute the paper's headline dispute statistics."""
+    store = dataset.columns()
     monthly = dispute_rate_by_month(dataset)
     per_user = disputes_per_user(dataset)
-    total = sum(
-        1 for c in dataset.contracts if c.status == ContractStatus.DISPUTED
-    )
+    total = int(store.status_mask(ContractStatus.DISPUTED).sum())
     peak_month = max(monthly, key=lambda m: monthly[m]) if monthly else None
     singles = sum(1 for count in per_user.values() if count == 1)
     return DisputeSummary(
         total_disputes=total,
-        overall_rate=total / len(dataset.contracts) if len(dataset) else 0.0,
+        overall_rate=total / store.n if store.n else 0.0,
         rate_by_era=dispute_rate_by_era(dataset),
         peak_month=peak_month,
         peak_rate=monthly.get(peak_month, 0.0) if peak_month else 0.0,

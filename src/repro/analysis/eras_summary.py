@@ -16,10 +16,11 @@ This module makes that claim testable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
+from ..core.columns import CTYPE_ORDER, ColumnStore
 from ..core.dataset import MarketDataset
 from ..core.entities import ContractType
 from ..core.eras import COVID19, ERAS, STABLE, Era
@@ -52,41 +53,61 @@ class EraProfile:
     type_shares: Dict[ContractType, float]
 
 
+def _members(store: ColumnStore, era: Era) -> List[int]:
+    """Ids of the users party to a contract created in ``era``."""
+    in_era = store.created_in(era)
+    codes = np.unique(np.concatenate([store.maker_code[in_era], store.taker_code[in_era]]))
+    return store.user_ids[codes].tolist()
+
+
 def era_profile(dataset: MarketDataset, era: Era,
                 seen_before: Optional[set] = None) -> EraProfile:
     """Compute one era's profile; ``seen_before`` marks prior members."""
-    contracts = dataset.in_era(era)
-    members = {u for c in contracts for u in c.parties()}
+    store = dataset.columns()
+    in_era = store.created_in(era)
+    n_contracts = int(in_era.sum())
+    members = _members(store, era)
     prior = seen_before or set()
-    completed = sum(1 for c in contracts if c.is_complete)
-    public = sum(1 for c in contracts if c.is_public)
-    counts = {t: 0 for t in ContractType}
-    for contract in contracts:
-        counts[contract.ctype] += 1
-    total = max(1, len(contracts))
+    completed = int(store.is_complete[in_era].sum())
+    public = int(store.is_public[in_era].sum())
+    counts = np.bincount(store.ctype[in_era], minlength=len(CTYPE_ORDER)).tolist()
+    total = max(1, n_contracts)
     return EraProfile(
         era=era.name,
         short=era.short,
-        contracts=len(contracts),
-        contracts_per_month=len(contracts) / (era.days / 30.44),
+        contracts=n_contracts,
+        contracts_per_month=n_contracts / (era.days / 30.44),
         completed=completed,
         completion_rate=completed / total,
         public_share=public / total,
         members=len(members),
-        new_members=len(members - prior),
-        type_shares={t: counts[t] / total for t in ContractType},
+        new_members=len(set(members) - prior),
+        type_shares={t: count / total for t, count in zip(CTYPE_ORDER, counts)},
     )
 
 
 def era_profiles(dataset: MarketDataset) -> List[EraProfile]:
     """Profiles for all three eras, with new-member accounting."""
+    store = dataset.columns()
     seen: set = set()
     profiles = []
     for era in ERAS:
-        profile = era_profile(dataset, era, seen_before=seen)
-        profiles.append(profile)
-        seen |= {u for c in dataset.in_era(era) for u in c.parties()}
+        profiles.append(era_profile(dataset, era, seen_before=seen))
+        seen.update(_members(store, era))
     return profiles
+
+
+def _tally(values: np.ndarray, keys_of: Callable[[int], Iterable[str]]) -> Dict[str, int]:
+    """Rows per key, where row ``i`` counts for each of
+    ``keys_of(values[i])``.  Keys come in the order of their first row,
+    as a per-row loop fills them, so a float sum over them rounds the
+    same way."""
+    distinct, first, count = np.unique(values, return_index=True, return_counts=True)
+    counts: Dict[str, int] = {}
+    for i in np.argsort(first).tolist():
+        for key in keys_of(int(distinct[i])):
+            counts[key] = counts.get(key, 0) + int(count[i])
+    return counts
 
 
 def composition_distance(
@@ -100,22 +121,17 @@ def composition_distance(
     ``by`` is "type" (contract types) or "category" (trading activities of
     completed public contracts).  0 = identical mix, 1 = disjoint.
     """
+    store = dataset.columns()
+
     def distribution(era: Era) -> Dict[str, float]:
-        contracts = dataset.in_era(era)
+        in_era = store.created_in(era)
         if by == "type":
-            counts: Dict[str, float] = {}
-            for contract in contracts:
-                counts[contract.ctype.name] = counts.get(contract.ctype.name, 0) + 1
+            counts = _tally(store.ctype[in_era], lambda code: (CTYPE_ORDER[code].name,))
         elif by == "category":
             features = text_features(dataset)
-            joined = features.joined_categories
-            counts = {}
-            for contract in contracts:
-                if not (contract.is_complete and contract.is_public):
-                    continue
-                i = features.position[contract.contract_id]
-                for key in category_keys(int(joined[i])):
-                    counts[key] = counts.get(key, 0) + 1
+            counts = _tally(
+                features.joined_categories[in_era[features.rows]], category_keys
+            )
         else:
             raise ValueError("by must be 'type' or 'category'")
         total = sum(counts.values())
@@ -173,19 +189,19 @@ def stimulus_test(
     late_stable_start = STABLE.end - dt.timedelta(days=int(30.44 * reference_months))
     late_stable = Era("late-STABLE", "E2b", late_stable_start, STABLE.end)
 
-    stable_contracts = dataset.in_era(late_stable)
-    covid_contracts = dataset.in_era(COVID19)
-    stable_rate = len(stable_contracts) / (late_stable.days / 30.44)
-    covid_rate = len(covid_contracts) / (COVID19.days / 30.44)
+    store = dataset.columns()
+    in_stable = store.created_in(late_stable)
+    in_covid = store.created_in(COVID19)
+    stable_rate = int(in_stable.sum()) / (late_stable.days / 30.44)
+    covid_rate = int(in_covid.sum()) / (COVID19.days / 30.44)
 
     type_drift = composition_distance(dataset, late_stable, COVID19, by="type")
     category_drift = composition_distance(dataset, late_stable, COVID19, by="category")
 
-    table = []
-    for contracts in (stable_contracts, covid_contracts):
-        row = [sum(1 for c in contracts if c.ctype == t) for t in ContractType]
-        table.append(row)
-    matrix = np.asarray(table, dtype=float)
+    matrix = np.asarray([
+        np.bincount(store.ctype[mask], minlength=len(CTYPE_ORDER))
+        for mask in (in_stable, in_covid)
+    ], dtype=float)
     keep = matrix.sum(axis=0) > 0
     matrix = matrix[:, keep]
     if matrix.shape[1] >= 2 and matrix.sum() > 0:

@@ -82,8 +82,7 @@ def _payment_related(features: TextFeatures) -> np.ndarray:
 def payment_related_contracts(dataset: MarketDataset) -> List[Contract]:
     """Completed public contracts in currency-exchange/payments/giftcard."""
     features = text_features(dataset)
-    contracts = dataset.contracts
-    return [contracts[row] for row in features.rows[_payment_related(features)].tolist()]
+    return dataset.contracts_at(features.rows[_payment_related(features)])
 
 
 def top_payment_methods(dataset: MarketDataset) -> PaymentTable:

@@ -18,16 +18,15 @@ process directly on the reputation record:
 
 from __future__ import annotations
 
-import datetime as _dt
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
+from ..core.columns import era_indexes_of, month_from_index, month_index_of
 from ..core.dataset import MarketDataset
 from ..core.entities import ContractStatus
-from ..core.eras import ERAS, Era, era_of
+from ..core.eras import ERAS
 from ..core.timeutils import Month, month_of
 from ..stats.descriptive import gini, top_share
 
@@ -39,22 +38,19 @@ __all__ = [
 ]
 
 
-def _cumulative_scores(dataset: MarketDataset) -> Dict[Month, Dict[int, int]]:
-    """Reputation per user at the end of each month (cumulative)."""
-    by_month: Dict[Month, Dict[int, int]] = {}
-    running: Dict[int, int] = defaultdict(int)
-    ratings = sorted(dataset.ratings, key=lambda r: r.created_at)
-    if not ratings:
-        return {}
-    months = sorted({month_of(r.created_at) for r in ratings})
-    index = 0
-    for month in months:
-        end = _dt.datetime.combine(month.last_day(), _dt.time.max)
-        while index < len(ratings) and ratings[index].created_at <= end:
-            running[ratings[index].ratee_id] += ratings[index].score
-            index += 1
-        by_month[month] = dict(running)
-    return by_month
+def _cumulative_scores(dataset: MarketDataset) -> Tuple[np.ndarray, np.ndarray]:
+    """Reputation per user at the end of each month with a rating.
+
+    Returns ``(months, scores)``: the rated months ascending, as months
+    since 1970-01, and ``scores[i, code]``, the score sum of every rating
+    user ``code`` received up to the end of ``months[i]``.
+    """
+    store = dataset.columns()
+    ratings = store.ratings
+    months, month_pos = np.unique(ratings.month_idx, return_inverse=True)
+    grid = np.zeros((len(months), store.n_users), dtype=np.int64)
+    np.add.at(grid, (month_pos.reshape(-1), ratings.ratee_code), ratings.score)
+    return months, np.cumsum(grid, axis=0)
 
 
 def reputation_concentration_by_month(
@@ -66,12 +62,13 @@ def reputation_concentration_by_month(
     claim made measurable.
     """
     result: Dict[Month, Tuple[float, float]] = {}
-    for month, scores in _cumulative_scores(dataset).items():
-        positives = [score for score in scores.values() if score > 0]
+    months, scores = _cumulative_scores(dataset)
+    for month, row in zip(months.tolist(), scores):
+        positives = row[row > 0]
         if len(positives) < 10:
             continue
-        result[month] = (gini(positives), top_share(positives, 5.0))
-    return dict(sorted(result.items()))
+        result[month_from_index(month)] = (gini(positives), top_share(positives, 5.0))
+    return result
 
 
 def cohort_reputation_trajectories(
@@ -82,27 +79,27 @@ def cohort_reputation_trajectories(
     Users are assigned to the era in which they were first party to a
     contract; each cohort's median reputation is then tracked monthly.
     """
-    first_active: Dict[int, _dt.datetime] = {}
-    for contract in dataset.contracts:
-        for user in contract.parties():
-            when = contract.created_at
-            if user not in first_active or when < first_active[user]:
-                first_active[user] = when
+    store = dataset.columns()
+    never = np.iinfo(np.int64).max
+    first_active = np.full(store.n_users, never, dtype=np.int64)
+    for code in (store.maker_code, store.taker_code):
+        np.minimum.at(first_active, code, store.created_us)
+    cohort = np.where(
+        first_active != never, era_indexes_of(first_active), np.int8(-1)
+    )
 
-    cohorts: Dict[str, List[int]] = {era.name: [] for era in ERAS}
-    for user, when in first_active.items():
-        era = era_of(when)
-        if era is not None:
-            cohorts[era.name].append(user)
-
+    months, scores = _cumulative_scores(dataset)
     trajectories: Dict[str, Dict[Month, float]] = {era.name: {} for era in ERAS}
-    for month, scores in _cumulative_scores(dataset).items():
-        for era in ERAS:
-            members = cohorts[era.name]
-            if not members or month < month_of(era.start):
-                continue
-            values = [scores.get(user, 0) for user in members]
-            trajectories[era.name][month] = float(np.median(values))
+    for index, era in enumerate(ERAS):
+        members = np.flatnonzero(cohort == index)
+        if not len(members):
+            continue
+        start = month_index_of(month_of(era.start))
+        for month, row in zip(months.tolist(), scores):
+            if month >= start:
+                trajectories[era.name][month_from_index(month)] = float(
+                    np.median(row[members])
+                )
     return trajectories
 
 
@@ -131,44 +128,28 @@ def reputation_premium_by_era(dataset: MarketDataset) -> Dict[str, ReputationPre
     creation month is looked up; completed and failed
     (incomplete/cancelled/expired) deals are then compared.
     """
-    scores_by_month = _cumulative_scores(dataset)
-    months = sorted(scores_by_month)
-    if not months:
+    months, scores = _cumulative_scores(dataset)
+    if not len(months):
         return {}
-
-    def reputation_at(user: int, month: Month) -> int:
-        # Last known cumulative score at or before the month.
-        previous = [m for m in months if m <= month]
-        if not previous:
-            return 0
-        return scores_by_month[previous[-1]].get(user, 0)
-
-    failed_statuses = {
-        ContractStatus.INCOMPLETE,
-        ContractStatus.CANCELLED,
-        ContractStatus.EXPIRED,
-    }
-    sums: Dict[Tuple[str, bool], List[float]] = defaultdict(list)
-    for contract in dataset.contracts:
-        era = era_of(contract.created_at)
-        if era is None:
-            continue
-        if contract.is_complete:
-            completed = True
-        elif contract.status in failed_statuses:
-            completed = False
-        else:
-            continue
-        month = month_of(contract.created_at).prev()
-        sums[(era.name, completed)].append(
-            float(reputation_at(contract.taker_id, month))
-        )
+    store = dataset.columns()
+    # The taker's score at the end of the last rated month before the
+    # contract's month (0 before the first).
+    slot = np.searchsorted(months, store.month_idx - 1, side="right") - 1
+    reputation = np.where(
+        slot >= 0, scores[np.maximum(slot, 0), store.taker_code], 0
+    ).astype(float)
+    failed = (
+        store.status_mask(ContractStatus.INCOMPLETE)
+        | store.status_mask(ContractStatus.CANCELLED)
+        | store.status_mask(ContractStatus.EXPIRED)
+    )
 
     result: Dict[str, ReputationPremium] = {}
-    for era in ERAS:
-        completed_scores = sums.get((era.name, True), [])
-        failed_scores = sums.get((era.name, False), [])
-        if not completed_scores or not failed_scores:
+    for index, era in enumerate(ERAS):
+        in_era = store.era_mask(index)
+        completed_scores = reputation[in_era & store.is_complete]
+        failed_scores = reputation[in_era & failed]
+        if not len(completed_scores) or not len(failed_scores):
             continue
         result[era.name] = ReputationPremium(
             era=era.name,

@@ -132,9 +132,7 @@ def text_features(dataset: MarketDataset) -> TextFeatures:
         masks: List[Tuple[int, int, int, int, int]] = []
         maker_values: List[Values] = []
         taker_values: List[Values] = []
-        contracts = dataset.contracts
-        for row in rows.tolist():
-            contract = contracts[row]
+        for contract in dataset.contracts_at(rows):
             maker = unify_synonyms(contract.maker_obligation)
             taker = unify_synonyms(contract.taker_obligation)
             joined = unify_synonyms(

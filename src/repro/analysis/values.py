@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..blockchain.chain import Ledger
 from ..blockchain.rates import RateOracle
 from ..blockchain.verify import (
@@ -85,12 +87,12 @@ def estimate_dataset_values(
 ) -> Dict[int, ValuedContract]:
     """Estimate (and manually check) values for completed public deals."""
     features = text_features(dataset)
-    contracts = dataset.contracts
+    store = dataset.columns()
+    # Feature columns of the economic rows (VOUCH_COPY is a reputation proof).
+    economic = np.flatnonzero(~store.ctype_mask(ContractType.VOUCH_COPY)[features.rows])
+    contracts = dataset.contracts_at(features.rows[economic])
     result: Dict[int, ValuedContract] = {}
-    for i, row in enumerate(features.rows.tolist()):
-        contract = contracts[row]
-        if not contract.is_economic:
-            continue
+    for i, contract in zip(economic.tolist(), contracts):
         raw = contract_value(
             contract, features.maker_values[i], features.taker_values[i], rates
         )
@@ -164,11 +166,10 @@ def total_values(
 
     # Extrapolate to private contracts: assume private completed deals of
     # each type are at least as valuable on average as public ones.
+    store = dataset.columns()
     extrapolated = 0.0
     for ctype, (type_total, type_avg, _) in per_type.items():
-        completed_all = sum(
-            1 for c in dataset.contracts if c.is_complete and c.ctype == ctype
-        )
+        completed_all = int((store.is_complete & store.ctype_mask(ctype)).sum())
         extrapolated += type_avg * completed_all
 
     return ValueReport(

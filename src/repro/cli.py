@@ -911,7 +911,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "runs": _cmd_runs,
         "docscheck": _cmd_docscheck,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro ... | head``).  Point
+        # stdout at devnull so the flush at exit cannot raise again, and
+        # exit as Python does on EPIPE, without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

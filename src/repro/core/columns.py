@@ -8,8 +8,8 @@ objects, and walking those lists in interpreted loops is slow.  A
 fields as contiguous arrays, so the analysis kernels run on
 ``np.bincount``/boolean masks instead of per-object loops.
 
-Schema (all arrays share the contract row order, which is the dataset's
-chronological creation order):
+Schema (all arrays share the dataset's contract row order: that of
+``dataset.contracts``, or the table rows of a column-backed dataset):
 
 ========================  =======  ==========================================
 field                     dtype    meaning
@@ -42,7 +42,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from .entities import Contract, ContractStatus, ContractType, Visibility
-from .eras import DATA_END, ERAS
+from .eras import DATA_END, ERAS, Era
 from .timeutils import Month
 
 __all__ = [
@@ -364,6 +364,15 @@ class ColumnStore:
 
     def completed_public_mask(self) -> np.ndarray:
         return self.is_complete & self.is_public
+
+    def created_in(self, era: Era) -> np.ndarray:
+        """Contracts created within ``era``, both end days included
+        (``Era.contains``); any span, not only the three of ``ERAS``."""
+        return self.window_mask(
+            self.created_us,
+            _dt.datetime.combine(era.start, _dt.time.min),
+            _dt.datetime.combine(era.end, _dt.time.max),
+        )
 
     def window_mask(
         self,

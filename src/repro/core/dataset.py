@@ -25,7 +25,7 @@ from .entities import (
     User,
     Visibility,
 )
-from .eras import Era, era_of
+from .eras import Era
 from ..obs.tracer import get_tracer
 from .timeutils import Month, month_of
 
@@ -157,6 +157,14 @@ class MarketDataset:
         if self._contracts_by_id is None:
             self._contracts_by_id = {c.contract_id: c for c in self.contracts}
         return self._contracts_by_id[contract_id]
+
+    def contracts_at(self, rows) -> List[Contract]:
+        """The contracts at store ``rows`` (row ``i`` of
+        :meth:`columns` is ``contracts[i]``), in the order given."""
+        import numpy as np
+
+        contracts = self.contracts
+        return [contracts[row] for row in np.asarray(rows, dtype=np.int64).tolist()]
 
     # ------------------------------------------------------------------ #
     # contract filters
@@ -432,7 +440,3 @@ class MarketDataset:
         child._users_by_id = self._users_by_id
         child._threads_by_id = self._threads_by_id
         return child
-
-    def era_of_contract(self, contract: Contract) -> Optional[Era]:
-        """The era a contract was created in (None if out of window)."""
-        return era_of(contract.created_at)

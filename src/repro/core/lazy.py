@@ -14,7 +14,11 @@ for object construction up front:
   attributes are properties that materialize the corresponding object
   list on first access and cache it — object consumers keep working,
   they just pay the conversion cost only when (and if) they actually
-  iterate objects.
+  iterate objects;
+* ``contracts_at(rows)`` builds only the requested rows, for the
+  analyses that need a few contracts' texts.  The 29 report
+  experiments read columns and these row subsets, so a report
+  materializes no whole list (``lazy.materializations`` stays 0).
 
 The materializers keep the tables' row order; they do not sort.  The
 generator's rows are month-major (each month's rows follow the previous
@@ -24,8 +28,10 @@ contract pairs run backwards in time.  A plain
 :class:`~repro.core.dataset.MarketDataset` (``load_dataset``, say)
 sorts contracts and posts by ``(created_at, id)`` instead, so the order
 of ``dataset.contracts`` depends on where the dataset came from.  The
-analyses do not depend on it (``tests/test_store_parity.py``); code that
-needs chronological order sorts for itself.
+analyses do not depend on it: all 29 artefacts, the four latent-class
+ones included, render the same bytes from either order
+(``tests/test_store_parity.py``); code that needs chronological order
+sorts for itself.
 """
 
 from __future__ import annotations
@@ -76,30 +82,48 @@ def users_from_tables(cols: Dict[str, np.ndarray]) -> List[User]:
     ]
 
 
-def contracts_from_tables(cols: Dict[str, np.ndarray]) -> List[Contract]:
-    """Materialize the contract list from ``c_*`` columns (row order kept)."""
+#: The ``c_*`` columns a :class:`Contract` is built from, in field order.
+_CONTRACT_COLUMNS = (
+    "c_id", "c_type", "c_status", "c_visibility", "c_maker", "c_taker",
+    "c_created_us", "c_completed_us", "c_maker_obligation",
+    "c_taker_obligation", "c_terms", "c_maker_rating", "c_taker_rating",
+    "c_thread", "c_btc_address", "c_btc_txhash",
+)
+
+
+def contracts_from_tables(
+    cols: Dict[str, np.ndarray], rows: Optional[np.ndarray] = None
+) -> List[Contract]:
+    """Materialize contracts from ``c_*`` columns: every row in table
+    order, or only ``rows``, in the order given."""
+    index = slice(None) if rows is None else np.asarray(rows, dtype=np.int64)
+    # One bulk conversion per column: per-element NumPy scalar reads
+    # would dominate the cost.
+    values = [cols[key][index].tolist() for key in _CONTRACT_COLUMNS]
     return [
         Contract(
-            contract_id=int(cols["c_id"][i]),
-            ctype=CTYPE_ORDER[cols["c_type"][i]],
-            status=STATUS_ORDER[cols["c_status"][i]],
-            visibility=VISIBILITY_ORDER[cols["c_visibility"][i]],
-            maker_id=int(cols["c_maker"][i]),
-            taker_id=int(cols["c_taker"][i]),
-            created_at=_when(int(cols["c_created_us"][i])),
-            completed_at=_when(int(cols["c_completed_us"][i])),
-            maker_obligation=str(cols["c_maker_obligation"][i]),
-            taker_obligation=str(cols["c_taker_obligation"][i]),
-            terms=str(cols["c_terms"][i]),
-            maker_rating=_rating(int(cols["c_maker_rating"][i])),
-            taker_rating=_rating(int(cols["c_taker_rating"][i])),
-            thread_id=(
-                int(cols["c_thread"][i]) if cols["c_thread"][i] >= 0 else None
-            ),
-            btc_address=str(cols["c_btc_address"][i]) or None,
-            btc_txhash=str(cols["c_btc_txhash"][i]) or None,
+            contract_id=cid,
+            ctype=CTYPE_ORDER[ctype],
+            status=STATUS_ORDER[status],
+            visibility=VISIBILITY_ORDER[visibility],
+            maker_id=maker,
+            taker_id=taker,
+            created_at=_when(created),
+            completed_at=_when(completed),
+            maker_obligation=str(maker_obligation),
+            taker_obligation=str(taker_obligation),
+            terms=str(terms),
+            maker_rating=_rating(maker_rating),
+            taker_rating=_rating(taker_rating),
+            thread_id=thread if thread >= 0 else None,
+            btc_address=str(address) or None,
+            btc_txhash=str(txhash) or None,
         )
-        for i in range(len(cols["c_id"]))
+        for (
+            cid, ctype, status, visibility, maker, taker, created, completed,
+            maker_obligation, taker_obligation, terms, maker_rating,
+            taker_rating, thread, address, txhash,
+        ) in zip(*values)
     ]
 
 
@@ -201,6 +225,10 @@ class ColumnBackedDataset(MarketDataset):
     @property
     def ratings(self) -> List[Rating]:
         return self._ents("ratings", ratings_from_tables)
+
+    def contracts_at(self, rows) -> List[Contract]:
+        """The contracts at store ``rows``, built from the tables alone."""
+        return contracts_from_tables(self._tables, rows)
 
     # -- array-native overrides (no materialization) -------------------- #
 

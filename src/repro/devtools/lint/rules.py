@@ -254,46 +254,68 @@ class ObjectLoopInKernel(Rule):
     back to per-object Python loops.
 
     A *kernel module* promises to compute on arrays: the
-    :class:`~repro.core.columns.ColumnStore` for the single-path
-    analyses (:mod:`repro.analysis.monthly`, ``taxonomy``, ``funnel``,
-    ``centralisation`` and :mod:`repro.network.degrees`) and the
-    generation tables for :mod:`repro.synth.fastgen`.  A ``for`` loop
-    (or comprehension) over the entity lists ``.contracts`` / ``.posts``
-    / ``.users`` in any function of one re-introduces the interpreted
-    per-object walk the module exists to avoid, usually silently after a
-    refactor.  Iterate over store arrays (``np.bincount``, boolean
-    masks, ``np.add.at``) instead, or move genuinely object-level code
-    out of the kernel module.
+    :class:`~repro.core.columns.ColumnStore` for the analyses of
+    ``repro report`` (:mod:`repro.analysis.monthly`, ``taxonomy``,
+    ``funnel``, ``centralisation``, ``latent``, ``disputes``,
+    ``reputation``, ``coldstart``, ``values``, ``textfeatures``,
+    ``eras_summary`` and ``payments``, and :mod:`repro.network.degrees`)
+    and the generation tables for :mod:`repro.synth.fastgen`.  A ``for``
+    loop (or comprehension) in any function of one over the entity
+    lists ``.contracts`` / ``.posts`` / ``.users`` / ``.ratings``, or
+    over a list a dataset query returns (``in_era``, ``filter``,
+    ``completed_public`` and their siblings), called in the loop or
+    bound to a name first, re-introduces the interpreted per-object walk
+    the module exists to avoid, usually silently after a refactor.
+    Iterate over store arrays (``np.bincount``, boolean masks,
+    ``np.add.at``) instead; text that only objects carry comes from the
+    row-subset materializer ``contracts_at``.
     """
 
     id = "R004"
     name = "object-loop-in-kernel"
     scope = ("src",)
 
-    _ENTITY_LISTS = {"contracts", "posts", "users"}
+    _ENTITY_LISTS = {"contracts", "posts", "users", "ratings"}
+    #: ``MarketDataset`` methods that return a list of contracts.
+    _ENTITY_QUERIES = {
+        "filter", "completed", "public", "completed_public", "of_type",
+        "economic", "in_era", "in_month",
+    }
     #: Modules where every function is held to the kernel contract.
     _KERNEL_MODULES = (
         "src/repro/analysis/centralisation.py",
+        "src/repro/analysis/coldstart.py",
+        "src/repro/analysis/disputes.py",
+        "src/repro/analysis/eras_summary.py",
         "src/repro/analysis/funnel.py",
+        "src/repro/analysis/latent.py",
         "src/repro/analysis/monthly.py",
+        "src/repro/analysis/payments.py",
+        "src/repro/analysis/reputation.py",
         "src/repro/analysis/taxonomy.py",
+        "src/repro/analysis/textfeatures.py",
+        "src/repro/analysis/values.py",
         "src/repro/network/degrees.py",
         "src/repro/synth/fastgen.py",
     )
 
-    def _entity_iter(self, iter_node: ast.AST) -> Optional[str]:
-        node = iter_node
+    def _entity_expr(self, node: ast.AST) -> Optional[str]:
+        """``.name`` for an entity list, ``name()`` for a query's list."""
         # unwrap slicing/calls like ds.contracts[:n] or list(ds.contracts)
         while isinstance(node, ast.Subscript):
             node = node.value
-        if isinstance(node, ast.Call) and len(node.args) == 1:
-            inner = node.args[0]
-            while isinstance(inner, ast.Subscript):
-                inner = inner.value
-            if isinstance(inner, ast.Attribute):
-                node = inner
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in self._ENTITY_QUERIES:
+                return f"{func.attr}()"
+            if len(node.args) == 1:
+                inner = node.args[0]
+                while isinstance(inner, ast.Subscript):
+                    inner = inner.value
+                if isinstance(inner, ast.Attribute):
+                    node = inner
         if isinstance(node, ast.Attribute) and node.attr in self._ENTITY_LISTS:
-            return node.attr
+            return f".{node.attr}"
         return None
 
     def visit(self, source):  # noqa: ANN001
@@ -302,6 +324,15 @@ class ObjectLoopInKernel(Rule):
         for func in ast.walk(source.tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
+            # Names bound to an entity list, e.g. contracts = ds.in_era(era).
+            bound: Dict[str, str] = {}
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    what = self._entity_expr(node.value)
+                    if what:
+                        for target in node.targets:
+                            if isinstance(target, ast.Name):
+                                bound[target.id] = what
             for node in ast.walk(func):
                 iters: List[ast.AST] = []
                 if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -312,12 +343,15 @@ class ObjectLoopInKernel(Rule):
                 ):
                     iters.extend(gen.iter for gen in node.generators)
                 for iter_node in iters:
-                    attr = self._entity_iter(iter_node)
-                    if attr:
+                    if isinstance(iter_node, ast.Name):
+                        what = bound.get(iter_node.id)
+                    else:
+                        what = self._entity_expr(iter_node)
+                    if what:
                         yield self.finding(
                             source, node,
                             f"'{func.name}' in a columnar kernel module "
-                            f"loops over .{attr} — compute on ColumnStore "
+                            f"loops over {what} — compute on ColumnStore "
                             f"arrays instead of per-object Python loops",
                         )
 

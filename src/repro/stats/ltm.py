@@ -6,36 +6,37 @@ follows the paper's two-stage approach: fit the latent-class measurement
 model on pooled user-month count profiles, then estimate a row-stochastic
 transition matrix from each user's consecutive-month class assignments
 (with Laplace smoothing so unseen transitions get small mass).
+
+The panel is three aligned arrays, one entry per observation: its count
+vector, its period (0, 1, 2, ...) and its unit (a user code).  A unit
+appears at most once per period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .mixture import PoissonMixtureResult, fit_poisson_mixture
 
-__all__ = ["LatentTransitionResult", "fit_latent_transitions"]
-
-#: One time period's observations: user id -> count-profile vector.
-PanelPeriod = Dict[Hashable, np.ndarray]
+__all__ = ["LatentTransitionResult", "fit_latent_transitions", "successor_rows"]
 
 
 @dataclass
 class LatentTransitionResult:
     """A fitted latent transition model.
 
-    ``assignments[t][user]`` is the hard class of ``user`` in period t;
+    ``assignments[i]`` is the hard class of panel row ``i``;
     ``transition[i, j]`` estimates P(class j at t+1 | class i at t);
-    ``occupancy[t, k]`` counts users assigned to class k in period t.
+    ``occupancy[t, k]`` counts units assigned to class k in period t.
     """
 
     mixture: PoissonMixtureResult
     transition: np.ndarray              # (K, K), rows sum to 1
     occupancy: np.ndarray               # (T, K)
-    assignments: List[Dict[Hashable, int]]
+    assignments: np.ndarray             # (n,) int, aligned with the panel rows
 
     @property
     def k(self) -> int:
@@ -60,8 +61,27 @@ class LatentTransitionResult:
         return np.diag(self.transition)
 
 
+def successor_rows(period: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """For each row, the row of the same unit in the next period (−1 if
+    the unit is not observed then).  Rows may come in any order."""
+    period = np.asarray(period, dtype=np.int64)
+    unit = np.asarray(unit, dtype=np.int64)
+    if not len(period):
+        return np.empty(0, dtype=np.int64)
+    width = int(unit.max()) + 1
+    key = period * width + unit
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    slot = np.searchsorted(ordered, key + width)
+    found = slot < len(ordered)
+    found[found] = ordered[slot[found]] == key[found] + width
+    return np.where(found, order[np.minimum(slot, len(order) - 1)], -1)
+
+
 def fit_latent_transitions(
-    panel: Sequence[PanelPeriod],
+    counts: np.ndarray,
+    period: np.ndarray,
+    unit: np.ndarray,
     k: int,
     seed: int = 0,
     n_init: int = 3,
@@ -73,10 +93,12 @@ def fit_latent_transitions(
 
     Parameters
     ----------
-    panel:
-        One dict per time period mapping user id -> count vector.  Users
-        may enter and leave; transitions are only counted for users
-        observed in two consecutive periods.
+    counts, period, unit:
+        The panel: row ``i`` is unit ``unit[i]``'s count vector in period
+        ``period[i]``.  Units may enter and leave; transitions are only
+        counted for units observed in two consecutive periods.  The
+        mixture's initial seeds are drawn by row index, so the row order
+        is part of the input.
     k:
         Number of latent classes (ignored when ``mixture`` is supplied).
     smoothing:
@@ -85,47 +107,34 @@ def fit_latent_transitions(
         A pre-fitted measurement model to reuse (e.g. from
         :func:`~repro.stats.mixture.select_poisson_mixture`).
     """
-    if not panel:
-        raise ValueError("panel must contain at least one period")
-    pooled_rows: List[np.ndarray] = []
-    for period in panel:
-        pooled_rows.extend(np.asarray(v, dtype=float) for v in period.values())
-    if not pooled_rows:
+    Y = np.asarray(counts, dtype=float)
+    period = np.asarray(period, dtype=np.int64)
+    if not len(Y):
         raise ValueError("panel contains no observations")
-    Y = np.vstack(pooled_rows)
 
     if mixture is None:
         mixture = fit_poisson_mixture(
             Y, k, n_init=n_init, seed=seed, feature_names=feature_names
         )
     n_classes = mixture.k
+    labels = mixture.assign(Y)
 
-    assignments: List[Dict[Hashable, int]] = []
-    occupancy = np.zeros((len(panel), n_classes))
-    for t, period in enumerate(panel):
-        users = list(period)
-        if users:
-            rows = np.vstack([np.asarray(period[u], dtype=float) for u in users])
-            labels = mixture.assign(rows)
-        else:
-            labels = np.empty(0, dtype=int)
-        table = {user: int(label) for user, label in zip(users, labels)}
-        assignments.append(table)
-        for label in table.values():
-            occupancy[t, label] += 1
+    n_periods = int(period.max()) + 1
+    occupancy = np.bincount(
+        period * n_classes + labels, minlength=n_periods * n_classes
+    ).reshape(n_periods, n_classes).astype(float)
 
-    counts = np.full((n_classes, n_classes), smoothing, dtype=float)
-    for t in range(len(panel) - 1):
-        now, nxt = assignments[t], assignments[t + 1]
-        for user, source in now.items():
-            target = nxt.get(user)
-            if target is not None:
-                counts[source, target] += 1.0
-    transition = counts / counts.sum(axis=1, keepdims=True)
+    nxt = successor_rows(period, unit)
+    moved = nxt >= 0
+    counts_kk = smoothing + np.bincount(
+        labels[moved] * n_classes + labels[nxt[moved]],
+        minlength=n_classes * n_classes,
+    ).reshape(n_classes, n_classes)
+    transition = counts_kk / counts_kk.sum(axis=1, keepdims=True)
 
     return LatentTransitionResult(
         mixture=mixture,
         transition=transition,
         occupancy=occupancy,
-        assignments=assignments,
+        assignments=labels,
     )

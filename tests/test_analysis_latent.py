@@ -30,27 +30,21 @@ def model(tiny_dataset):
 
 class TestUserMonthProfiles:
     def test_panel_covers_all_months(self, tiny_dataset):
-        panel, months = user_month_profiles(tiny_dataset)
-        assert len(panel) == len(months) == 25
+        panel = user_month_profiles(tiny_dataset)
+        assert len(panel.months) == len(np.unique(panel.month_pos)) == 25
 
     def test_counts_match_contracts(self, tiny_dataset):
-        panel, months = user_month_profiles(tiny_dataset)
-        total = sum(
-            vector.sum() for period in panel for vector in period.values()
-        )
+        panel = user_month_profiles(tiny_dataset)
         # each contract contributes one make + one take
-        assert total == 2 * len(tiny_dataset.contracts)
+        assert panel.counts.sum() == 2 * len(tiny_dataset.contracts)
 
     def test_vector_length(self, tiny_dataset):
-        panel, _ = user_month_profiles(tiny_dataset)
-        some_vector = next(iter(panel[0].values()))
-        assert len(some_vector) == len(FEATURE_NAMES) == 10
+        panel = user_month_profiles(tiny_dataset)
+        assert panel.counts.shape[1] == len(FEATURE_NAMES) == 10
 
     def test_only_active_users_in_period(self, tiny_dataset):
-        panel, months = user_month_profiles(tiny_dataset)
-        for period in panel:
-            for vector in period.values():
-                assert vector.sum() >= 1
+        panel = user_month_profiles(tiny_dataset)
+        assert (panel.counts.sum(axis=1) >= 1).all()
 
 
 class TestFitLatentClasses:

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -115,3 +119,35 @@ class TestStreamCommand:
         args = build_parser().parse_args(
             ["report", "--store", "partitioned"])
         assert args.store == "partitioned"
+
+
+class TestClosedPipe:
+    def test_reader_leaving_early_gets_no_traceback(self, tmp_path):
+        """``repro trace show <manifest> | head -1``: the reader closes
+        the pipe after one line, and the CLI exits without a traceback."""
+        manifest = {
+            "version": 1, "command": "report", "config_sha256": "0" * 64,
+            "seed": 1, "scale": 0.05, "package_version": "test",
+            # Far more output than a pipe buffers.
+            "counters": {f"count.{i:05d}": i for i in range(20000)},
+        }
+        path = tmp_path / "run_manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "show", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"run manifest")
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+        assert "Traceback" not in stderr, stderr

@@ -8,13 +8,18 @@ Integer counts must match exactly; float curves are compared with
 ``np.allclose``.  The text-driven analyses (Tables 3–5, Figures 9–11,
 §6's category drift) read the memoized obligation-text features instead
 of re-running the regexes per contract; they must match their
-per-contract references exactly, floats included.
+per-contract references exactly, floats included.  So must the era
+profiles, disputes, reputation, cold-start and §4.5 totals.  The §5.1
+references take the panel as one ``{user id: ...}`` dict per month, so
+their outputs are compared as mappings keyed by (month, user), and row
+order does not enter.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import sys
+from collections import Counter, defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -34,12 +39,44 @@ from repro.analysis.centralisation import (
     concentration_curves,
     key_share_by_month,
 )
-from repro.analysis.eras_summary import composition_distance
+from repro.analysis.coldstart import (
+    ColdStartClustering,
+    ColdStartSummary,
+    _era_bounds,
+    cluster_cold_starters,
+    cold_start_summary,
+    cold_starters,
+)
+from repro.analysis.disputes import (
+    DisputeSummary,
+    dispute_rate_by_era,
+    dispute_rate_by_month,
+    dispute_summary,
+    disputed_goods,
+    disputes_per_user,
+)
+from repro.analysis.eras_summary import (
+    EraProfile,
+    StimulusResult,
+    composition_distance,
+    era_profiles,
+    stimulus_test,
+)
 from repro.analysis.funnel import (
     ContractFunnel,
     _funnel_from_status_counts,
     contract_funnel,
     funnel_by_era,
+)
+from repro.analysis.latent import _TYPES as LATENT_TYPES
+from repro.analysis.latent import (
+    FEATURE_NAMES,
+    FlowRow,
+    class_activity_series,
+    era_transition_matrices,
+    fit_latent_classes,
+    top_flows,
+    user_month_profiles,
 )
 from repro.analysis.monthly import (
     GrowthPoint,
@@ -56,6 +93,12 @@ from repro.analysis.payments import (
     payment_related_contracts,
     top_payment_methods,
 )
+from repro.analysis.reputation import (
+    ReputationPremium,
+    cohort_reputation_trajectories,
+    reputation_concentration_by_month,
+    reputation_premium_by_era,
+)
 from repro.analysis.taxonomy import (
     TaxonomyTable,
     VisibilityTable,
@@ -65,7 +108,9 @@ from repro.analysis.taxonomy import (
 from repro.analysis.values import (
     TYPO_CUTOFF_USD,
     ValuedContract,
+    ValueReport,
     estimate_dataset_values,
+    total_values,
     value_evolution,
     value_tables,
 )
@@ -86,7 +131,8 @@ from repro.core.columns import (
 )
 from repro.core.dataset import MarketDataset, UserActivity
 from repro.core.entities import Contract, ContractStatus, ContractType
-from repro.core.eras import ERAS, Era
+from repro.core.eras import COVID19, ERAS, SETUP, STABLE, Era, era_of
+from repro.core.lazy import ColumnBackedDataset
 from repro.core.timeutils import Month, month_of
 from repro.network.degrees import (
     DegreeDistributions,
@@ -96,7 +142,10 @@ from repro.network.degrees import (
     degree_growth,
 )
 from repro.network.graph import ContractGraph
-from repro.stats.descriptive import concentration_curve, gini
+from repro.obs import disable_tracing, enable_tracing
+from repro.stats.contingency import chi2_contingency
+from repro.stats.descriptive import concentration_curve, gini, top_share
+from repro.stats.mixture import PoissonMixtureResult, fit_poisson_mixture
 from repro.synth import MarketSimulator, SimulationConfig
 from repro.text.payments import PAYMENT_LABELS, PAYMENT_METHODS, PaymentExtractor
 from repro.text.taxonomy import (
@@ -828,6 +877,614 @@ def ref_composition_distance(
     return 0.5 * sum(abs(dist_a.get(k, 0.0) - dist_b.get(k, 0.0)) for k in keys)
 
 
+def ref_era_profile(dataset: MarketDataset, era: Era,
+                    seen_before: Optional[set] = None) -> EraProfile:
+    """Compute one era's profile; ``seen_before`` marks prior members."""
+    contracts = dataset.in_era(era)
+    members = {u for c in contracts for u in c.parties()}
+    prior = seen_before or set()
+    completed = sum(1 for c in contracts if c.is_complete)
+    public = sum(1 for c in contracts if c.is_public)
+    counts = {t: 0 for t in ContractType}
+    for contract in contracts:
+        counts[contract.ctype] += 1
+    total = max(1, len(contracts))
+    return EraProfile(
+        era=era.name,
+        short=era.short,
+        contracts=len(contracts),
+        contracts_per_month=len(contracts) / (era.days / 30.44),
+        completed=completed,
+        completion_rate=completed / total,
+        public_share=public / total,
+        members=len(members),
+        new_members=len(members - prior),
+        type_shares={t: counts[t] / total for t in ContractType},
+    )
+
+
+def ref_era_profiles(dataset: MarketDataset) -> List[EraProfile]:
+    """Profiles for all three eras, with new-member accounting."""
+    seen: set = set()
+    profiles = []
+    for era in ERAS:
+        profile = ref_era_profile(dataset, era, seen_before=seen)
+        profiles.append(profile)
+        seen |= {u for c in dataset.in_era(era) for u in c.parties()}
+    return profiles
+
+
+def ref_stimulus_test(
+    dataset: MarketDataset,
+    reference_months: int = 3,
+) -> StimulusResult:
+    """The paper's §6 COVID-19 conclusion as a computation."""
+    late_stable_start = STABLE.end - dt.timedelta(days=int(30.44 * reference_months))
+    late_stable = Era("late-STABLE", "E2b", late_stable_start, STABLE.end)
+
+    stable_contracts = dataset.in_era(late_stable)
+    covid_contracts = dataset.in_era(COVID19)
+    stable_rate = len(stable_contracts) / (late_stable.days / 30.44)
+    covid_rate = len(covid_contracts) / (COVID19.days / 30.44)
+
+    type_drift = ref_composition_distance(dataset, late_stable, COVID19, by="type")
+    category_drift = ref_composition_distance(dataset, late_stable, COVID19, by="category")
+
+    table = []
+    for contracts in (stable_contracts, covid_contracts):
+        row = [sum(1 for c in contracts if c.ctype == t) for t in ContractType]
+        table.append(row)
+    matrix = np.asarray(table, dtype=float)
+    keep = matrix.sum(axis=0) > 0
+    matrix = matrix[:, keep]
+    if matrix.shape[1] >= 2 and matrix.sum() > 0:
+        chi2, p_value = chi2_contingency(matrix)
+    else:
+        chi2, p_value = 0.0, 1.0
+
+    return StimulusResult(
+        volume_ratio=covid_rate / stable_rate if stable_rate else float("inf"),
+        type_drift=type_drift,
+        category_drift=category_drift,
+        chi2_statistic=float(chi2),
+        chi2_p_value=float(p_value),
+    )
+
+
+# --------------------------------------------------------------------- #
+# entity-object references: repro.analysis.disputes
+# --------------------------------------------------------------------- #
+
+
+def ref_dispute_rate_by_month(dataset: MarketDataset) -> Dict[Month, float]:
+    """Share of contracts created each month that ended disputed."""
+    totals: Dict[Month, int] = {}
+    disputed: Dict[Month, int] = {}
+    for contract in dataset.contracts:
+        month = month_of(contract.created_at)
+        totals[month] = totals.get(month, 0) + 1
+        if contract.status == ContractStatus.DISPUTED:
+            disputed[month] = disputed.get(month, 0) + 1
+    return {
+        month: disputed.get(month, 0) / totals[month] for month in sorted(totals)
+    }
+
+
+def ref_dispute_rate_by_era(dataset: MarketDataset) -> Dict[str, float]:
+    """Dispute rate per era (created contracts)."""
+    rates: Dict[str, float] = {}
+    for era in ERAS:
+        contracts = dataset.in_era(era)
+        if not contracts:
+            rates[era.name] = 0.0
+            continue
+        count = sum(1 for c in contracts if c.status == ContractStatus.DISPUTED)
+        rates[era.name] = count / len(contracts)
+    return rates
+
+
+def ref_disputes_per_user(dataset: MarketDataset) -> Dict[int, int]:
+    """Number of disputed contracts each user was party to (>=1 only)."""
+    counts: Dict[int, int] = {}
+    for contract in dataset.contracts:
+        if contract.status != ContractStatus.DISPUTED:
+            continue
+        for user in contract.parties():
+            counts[user] = counts.get(user, 0) + 1
+    return counts
+
+
+def ref_disputed_goods(
+    dataset: MarketDataset,
+    categorizer: Optional[ActivityCategorizer] = None,
+) -> List[Tuple[str, int]]:
+    """Trading-activity categories of disputed contracts, most common
+    first."""
+    categorizer = categorizer or ActivityCategorizer()
+    tally: Counter = Counter()
+    for contract in dataset.contracts:
+        if contract.status != ContractStatus.DISPUTED:
+            continue
+        categories = categorizer.categorize_sides(
+            contract.maker_obligation, contract.taker_obligation
+        )
+        tally.update(categories - {UNCATEGORISED})
+    return sorted(tally.items(), key=lambda item: (-item[1], item[0]))
+
+
+def ref_dispute_summary(dataset: MarketDataset) -> DisputeSummary:
+    """Compute the paper's headline dispute statistics in one pass."""
+    monthly = ref_dispute_rate_by_month(dataset)
+    per_user = ref_disputes_per_user(dataset)
+    total = sum(
+        1 for c in dataset.contracts if c.status == ContractStatus.DISPUTED
+    )
+    peak_month = max(monthly, key=lambda m: monthly[m]) if monthly else None
+    singles = sum(1 for count in per_user.values() if count == 1)
+    return DisputeSummary(
+        total_disputes=total,
+        overall_rate=total / len(dataset.contracts) if len(dataset) else 0.0,
+        rate_by_era=ref_dispute_rate_by_era(dataset),
+        peak_month=peak_month,
+        peak_rate=monthly.get(peak_month, 0.0) if peak_month else 0.0,
+        max_disputes_one_user=max(per_user.values()) if per_user else 0,
+        users_with_one_dispute_share=(
+            singles / len(per_user) if per_user else 0.0
+        ),
+    )
+
+
+# --------------------------------------------------------------------- #
+# entity-object references: repro.analysis.reputation
+# --------------------------------------------------------------------- #
+
+
+def ref_cumulative_scores(dataset: MarketDataset) -> Dict[Month, Dict[int, int]]:
+    """Reputation per user at the end of each month (cumulative)."""
+    by_month: Dict[Month, Dict[int, int]] = {}
+    running: Dict[int, int] = defaultdict(int)
+    ratings = sorted(dataset.ratings, key=lambda r: r.created_at)
+    if not ratings:
+        return {}
+    months = sorted({month_of(r.created_at) for r in ratings})
+    index = 0
+    for month in months:
+        end = dt.datetime.combine(month.last_day(), dt.time.max)
+        while index < len(ratings) and ratings[index].created_at <= end:
+            running[ratings[index].ratee_id] += ratings[index].score
+            index += 1
+        by_month[month] = dict(running)
+    return by_month
+
+
+def ref_reputation_concentration_by_month(
+    dataset: MarketDataset,
+) -> Dict[Month, Tuple[float, float]]:
+    """Per month: (Gini, top-5% share) of cumulative positive reputation."""
+    result: Dict[Month, Tuple[float, float]] = {}
+    for month, scores in ref_cumulative_scores(dataset).items():
+        positives = [score for score in scores.values() if score > 0]
+        if len(positives) < 10:
+            continue
+        result[month] = (gini(positives), top_share(positives, 5.0))
+    return dict(sorted(result.items()))
+
+
+def ref_cohort_reputation_trajectories(
+    dataset: MarketDataset,
+) -> Dict[str, Dict[Month, float]]:
+    """Median cumulative reputation per first-activity cohort over time."""
+    first_active: Dict[int, dt.datetime] = {}
+    for contract in dataset.contracts:
+        for user in contract.parties():
+            when = contract.created_at
+            if user not in first_active or when < first_active[user]:
+                first_active[user] = when
+
+    cohorts: Dict[str, List[int]] = {era.name: [] for era in ERAS}
+    for user, when in first_active.items():
+        era = era_of(when)
+        if era is not None:
+            cohorts[era.name].append(user)
+
+    trajectories: Dict[str, Dict[Month, float]] = {era.name: {} for era in ERAS}
+    for month, scores in ref_cumulative_scores(dataset).items():
+        for era in ERAS:
+            members = cohorts[era.name]
+            if not members or month < month_of(era.start):
+                continue
+            values = [scores.get(user, 0) for user in members]
+            trajectories[era.name][month] = float(np.median(values))
+    return trajectories
+
+
+def ref_reputation_premium_by_era(dataset: MarketDataset) -> Dict[str, ReputationPremium]:
+    """Does reputation at deal time predict completion?  Per era."""
+    scores_by_month = ref_cumulative_scores(dataset)
+    months = sorted(scores_by_month)
+    if not months:
+        return {}
+
+    def reputation_at(user: int, month: Month) -> int:
+        # Last known cumulative score at or before the month.
+        previous = [m for m in months if m <= month]
+        if not previous:
+            return 0
+        return scores_by_month[previous[-1]].get(user, 0)
+
+    failed_statuses = {
+        ContractStatus.INCOMPLETE,
+        ContractStatus.CANCELLED,
+        ContractStatus.EXPIRED,
+    }
+    sums: Dict[Tuple[str, bool], List[float]] = defaultdict(list)
+    for contract in dataset.contracts:
+        era = era_of(contract.created_at)
+        if era is None:
+            continue
+        if contract.is_complete:
+            completed = True
+        elif contract.status in failed_statuses:
+            completed = False
+        else:
+            continue
+        month = month_of(contract.created_at).prev()
+        sums[(era.name, completed)].append(
+            float(reputation_at(contract.taker_id, month))
+        )
+
+    result: Dict[str, ReputationPremium] = {}
+    for era in ERAS:
+        completed_scores = sums.get((era.name, True), [])
+        failed_scores = sums.get((era.name, False), [])
+        if not completed_scores or not failed_scores:
+            continue
+        result[era.name] = ReputationPremium(
+            era=era.name,
+            completed_mean=float(np.mean(completed_scores)),
+            failed_mean=float(np.mean(failed_scores)),
+            n_completed=len(completed_scores),
+            n_failed=len(failed_scores),
+        )
+    return result
+
+
+# --------------------------------------------------------------------- #
+# entity-object references: repro.analysis.coldstart
+# --------------------------------------------------------------------- #
+
+
+def ref_cold_starters(dataset: MarketDataset, era: Era = STABLE) -> List[int]:
+    """Users who accepted their *first* contract during ``era``."""
+    first_accept: Dict[int, dt.datetime] = {}
+    for contract in dataset.contracts:
+        taker = contract.taker_id
+        when = contract.created_at
+        if taker not in first_accept or when < first_accept[taker]:
+            first_accept[taker] = when
+    return sorted(user for user, when in first_accept.items() if era.contains(when))
+
+
+def ref_cold_start_summary(
+    dataset: MarketDataset,
+    clustering: ColdStartClustering,
+) -> ColdStartSummary:
+    """Lifespan, continuation and reputation comparisons for cold starters."""
+    all_activity = dataset.user_activity()
+
+    def lifespan(user: int) -> float:
+        activity = all_activity.get(user)
+        return activity.lifespan_days() if activity else 0.0
+
+    def reputation(user: int) -> float:
+        activity = all_activity.get(user)
+        return float(activity.reputation) if activity else 0.0
+
+    covid_start, covid_end = _era_bounds(COVID19)
+    covid_takers = {
+        c.taker_id
+        for c in dataset.contracts
+        if covid_start <= c.created_at <= covid_end
+    }
+
+    def continuation(users: Sequence[int]) -> float:
+        if not users:
+            return 0.0
+        return sum(1 for u in users if u in covid_takers) / len(users)
+
+    setup_starters = ref_cold_starters(dataset, SETUP)
+
+    def median_of(values: Sequence[float]) -> float:
+        return float(np.median(values)) if len(values) else 0.0
+
+    return ColdStartSummary(
+        n_cold_starters=len(clustering.users),
+        n_outliers=len(clustering.outlier_users),
+        major_share=clustering.major_share,
+        median_lifespan_all_days=median_of([lifespan(u) for u in clustering.users]),
+        median_lifespan_outliers_days=median_of(
+            [lifespan(u) for u in clustering.outlier_users]
+        ),
+        continue_into_covid_all=continuation(clustering.users),
+        continue_into_covid_outliers=continuation(clustering.outlier_users),
+        median_reputation_all=median_of([reputation(u) for u in clustering.users]),
+        median_reputation_outliers=median_of(
+            [reputation(u) for u in clustering.outlier_users]
+        ),
+        median_reputation_setup_starters=median_of(
+            [reputation(u) for u in setup_starters]
+        ),
+    )
+
+
+# --------------------------------------------------------------------- #
+# entity-object references: repro.analysis.values totals
+# --------------------------------------------------------------------- #
+
+
+def ref_total_values(
+    dataset: MarketDataset,
+    valued: Dict[int, ValuedContract],
+) -> ValueReport:
+    """Compute §4.5's totals, concentration and extrapolation."""
+    values = [v.corrected_usd for v in valued.values()]
+    total = sum(values)
+    n = len(values)
+
+    per_type: Dict[ContractType, Tuple[float, float, float]] = {}
+    for ctype in (
+        ContractType.EXCHANGE,
+        ContractType.SALE,
+        ContractType.PURCHASE,
+        ContractType.TRADE,
+    ):
+        subset = [v.corrected_usd for v in valued.values() if v.contract.ctype == ctype]
+        if subset:
+            per_type[ctype] = (sum(subset), sum(subset) / len(subset), max(subset))
+        else:
+            per_type[ctype] = (0.0, 0.0, 0.0)
+
+    # Per-user value (as maker or taker) for the concentration statistic.
+    user_value: Dict[int, float] = {}
+    for v in valued.values():
+        for user in v.contract.parties():
+            user_value[user] = user_value.get(user, 0.0) + v.corrected_usd
+    share = top_share(list(user_value.values()), 10.0) if user_value else 0.0
+    participants = ref_participant_ids(dataset)
+    per_participant = total / len(participants) if participants else 0.0
+
+    # Extrapolate to private contracts: assume private completed deals of
+    # each type are at least as valuable on average as public ones.
+    extrapolated = 0.0
+    for ctype, (type_total, type_avg, _) in per_type.items():
+        completed_all = sum(
+            1 for c in dataset.contracts if c.is_complete and c.ctype == ctype
+        )
+        extrapolated += type_avg * completed_all
+
+    return ValueReport(
+        total_usd=total,
+        average_usd=total / n if n else 0.0,
+        maximum_usd=max(values) if values else 0.0,
+        n_valued=n,
+        per_type=per_type,
+        top10pct_user_share=share,
+        average_per_participant=per_participant,
+        extrapolated_total_usd=extrapolated,
+    )
+
+
+# --------------------------------------------------------------------- #
+# entity-object references: repro.analysis.latent and repro.stats.ltm
+# --------------------------------------------------------------------- #
+
+#: One period's latent-class assignments: user id -> class.
+Assignment = Dict[int, int]
+
+
+def ref_user_month_profiles(
+    dataset: MarketDataset,
+) -> Tuple[List[Dict[int, np.ndarray]], List[Month]]:
+    """Build the user-month count panel: one dict per month (user id ->
+    10-vector) plus the month grid."""
+    panel_map: Dict[Month, Dict[int, np.ndarray]] = {}
+    type_index = {ctype: i for i, ctype in enumerate(LATENT_TYPES)}
+    for contract in dataset.contracts:
+        month = month_of(contract.created_at)
+        period = panel_map.setdefault(month, {})
+        maker = period.get(contract.maker_id)
+        if maker is None:
+            maker = np.zeros(len(FEATURE_NAMES))
+            period[contract.maker_id] = maker
+        maker[type_index[contract.ctype]] += 1
+        taker = period.get(contract.taker_id)
+        if taker is None:
+            taker = np.zeros(len(FEATURE_NAMES))
+            period[contract.taker_id] = taker
+        taker[len(LATENT_TYPES) + type_index[contract.ctype]] += 1
+
+    months = sorted(panel_map)
+    return [panel_map[m] for m in months], months
+
+
+def ref_fit_latent_transitions(
+    panel: Sequence[Dict[int, np.ndarray]],
+    k: int,
+    seed: int = 0,
+    n_init: int = 3,
+    smoothing: float = 0.5,
+    feature_names: Optional[Sequence[str]] = None,
+    mixture: Optional[PoissonMixtureResult] = None,
+) -> Tuple[PoissonMixtureResult, np.ndarray, np.ndarray, List[Assignment]]:
+    """Fit the measurement model and estimate monthly transitions:
+    ``(mixture, transition, occupancy, assignments)``."""
+    if not panel:
+        raise ValueError("panel must contain at least one period")
+    pooled_rows: List[np.ndarray] = []
+    for period in panel:
+        pooled_rows.extend(np.asarray(v, dtype=float) for v in period.values())
+    if not pooled_rows:
+        raise ValueError("panel contains no observations")
+    Y = np.vstack(pooled_rows)
+
+    if mixture is None:
+        mixture = fit_poisson_mixture(
+            Y, k, n_init=n_init, seed=seed, feature_names=feature_names
+        )
+    n_classes = mixture.k
+
+    assignments: List[Assignment] = []
+    occupancy = np.zeros((len(panel), n_classes))
+    for t, period in enumerate(panel):
+        users = list(period)
+        if users:
+            rows = np.vstack([np.asarray(period[u], dtype=float) for u in users])
+            labels = mixture.assign(rows)
+        else:
+            labels = np.empty(0, dtype=int)
+        table = {user: int(label) for user, label in zip(users, labels)}
+        assignments.append(table)
+        for label in table.values():
+            occupancy[t, label] += 1
+
+    counts = np.full((n_classes, n_classes), smoothing, dtype=float)
+    for t in range(len(panel) - 1):
+        now, nxt = assignments[t], assignments[t + 1]
+        for user, source in now.items():
+            target = nxt.get(user)
+            if target is not None:
+                counts[source, target] += 1.0
+    transition = counts / counts.sum(axis=1, keepdims=True)
+    return mixture, transition, occupancy, assignments
+
+
+def ref_class_activity_series(
+    dataset: MarketDataset,
+    months: List[Month],
+    assignments: List[Assignment],
+    role: str = "made",
+    types: Sequence[ContractType] = (
+        ContractType.EXCHANGE,
+        ContractType.PURCHASE,
+        ContractType.SALE,
+    ),
+) -> Dict[ContractType, Dict[int, Dict[Month, int]]]:
+    """Figures 12/13: monthly transactions per class."""
+    month_positions = {month: i for i, month in enumerate(months)}
+    wanted = set(types)
+    series: Dict[ContractType, Dict[int, Dict[Month, int]]] = {
+        ctype: {} for ctype in types
+    }
+    for contract in dataset.contracts:
+        if contract.ctype not in wanted:
+            continue
+        month = month_of(contract.created_at)
+        position = month_positions.get(month)
+        if position is None:
+            continue
+        user = contract.maker_id if role == "made" else contract.taker_id
+        klass = assignments[position].get(user)
+        if klass is None:
+            continue
+        bucket = series[contract.ctype].setdefault(klass, {})
+        bucket[month] = bucket.get(month, 0) + 1
+    return series
+
+
+def ref_era_transition_matrices(
+    months: List[Month], assignments: List[Assignment], k: int,
+    smoothing: float = 0.5,
+) -> Dict[str, np.ndarray]:
+    """Per-era class-transition matrices."""
+    counts: Dict[str, np.ndarray] = {
+        era.name: np.full((k, k), smoothing) for era in ERAS
+    }
+    for position in range(len(months) - 1):
+        month = months[position]
+        mid = month.first_day().replace(day=15)
+        era = None
+        for candidate in ERAS:
+            if candidate.contains(mid):
+                era = candidate
+                break
+        if era is None:
+            continue
+        now = assignments[position]
+        nxt = assignments[position + 1]
+        matrix = counts[era.name]
+        for user, source in now.items():
+            target = nxt.get(user)
+            if target is not None:
+                matrix[source, target] += 1.0
+    return {
+        name: matrix / matrix.sum(axis=1, keepdims=True)
+        for name, matrix in counts.items()
+    }
+
+
+def ref_top_flows(
+    dataset: MarketDataset,
+    months: List[Month],
+    assignments: List[Assignment],
+    top_n: int = 3,
+    types: Sequence[ContractType] = (
+        ContractType.EXCHANGE,
+        ContractType.PURCHASE,
+        ContractType.SALE,
+    ),
+) -> List[FlowRow]:
+    """Table 8: the top maker->taker class flows per type per era."""
+    month_positions = {month: i for i, month in enumerate(months)}
+    wanted = set(types)
+
+    flows: Dict[Tuple[Era, ContractType, int, int], int] = {}
+    type_totals: Dict[Tuple[Era, ContractType], int] = {}
+    for contract in dataset.contracts:
+        if contract.ctype not in wanted:
+            continue
+        era = era_of(contract.created_at)
+        if era is None:
+            continue
+        month = month_of(contract.created_at)
+        position = month_positions.get(month)
+        if position is None:
+            continue
+        assignment = assignments[position]
+        maker_class = assignment.get(contract.maker_id)
+        taker_class = assignment.get(contract.taker_id)
+        if maker_class is None or taker_class is None:
+            continue
+        key = (era, contract.ctype, maker_class, taker_class)
+        flows[key] = flows.get(key, 0) + 1
+        type_totals[(era, contract.ctype)] = type_totals.get((era, contract.ctype), 0) + 1
+
+    rows: List[FlowRow] = []
+    for era in ERAS:
+        months_in_era = len(era.months())
+        for ctype in types:
+            candidates = [
+                (key, count)
+                for key, count in flows.items()
+                if key[0] == era and key[1] == ctype
+            ]
+            # Ties rank by (maker, taker) class, not by contract order.
+            candidates.sort(key=lambda kv: (-kv[1], kv[0][2], kv[0][3]))
+            total_of_type = type_totals.get((era, ctype), 0)
+            for (era_, ctype_, maker_class, taker_class), count in candidates[:top_n]:
+                rows.append(
+                    FlowRow(
+                        era=era.name,
+                        ctype=ctype,
+                        maker_class=maker_class,
+                        taker_class=taker_class,
+                        total=count,
+                        avg_per_month=count / months_in_era,
+                        share_of_type=count / total_of_type if total_of_type else 0.0,
+                    )
+                )
+    return rows
+
+
 # --------------------------------------------------------------------- #
 # entity-object references: repro.network.degrees
 # --------------------------------------------------------------------- #
@@ -1112,6 +1769,138 @@ def test_composition_distance_parity(ds):
             for by in ("type", "category"):
                 fast = composition_distance(ds, era_a, era_b, by=by)
                 assert fast == ref_composition_distance(ds, era_a, era_b, by=by)
+
+
+def test_era_profiles_parity(ds):
+    assert era_profiles(ds) == ref_era_profiles(ds)
+
+
+def test_stimulus_test_parity(ds):
+    assert stimulus_test(ds) == ref_stimulus_test(ds)
+
+
+def test_disputes_parity(ds):
+    assert _ordered(dispute_rate_by_month(ds)) == _ordered(ref_dispute_rate_by_month(ds))
+    assert dispute_rate_by_era(ds) == ref_dispute_rate_by_era(ds)
+    assert disputes_per_user(ds) == ref_disputes_per_user(ds)
+    assert disputed_goods(ds) == ref_disputed_goods(ds)
+    assert dispute_summary(ds) == ref_dispute_summary(ds)
+
+
+def test_reputation_parity(ds):
+    assert _ordered(reputation_concentration_by_month(ds)) == _ordered(
+        ref_reputation_concentration_by_month(ds)
+    )
+    assert _ordered(cohort_reputation_trajectories(ds)) == _ordered(
+        ref_cohort_reputation_trajectories(ds)
+    )
+    assert reputation_premium_by_era(ds) == ref_reputation_premium_by_era(ds)
+
+
+def test_cold_start_parity(ds):
+    for era in ERAS:
+        assert cold_starters(ds, era) == ref_cold_starters(ds, era)
+    clustering = cluster_cold_starters(ds)
+    assert cold_start_summary(ds, clustering) == ref_cold_start_summary(ds, clustering)
+
+
+def test_total_values_parity(market):
+    ds, rates, ledger = market.dataset, market.rates, market.ledger
+    valued = estimate_dataset_values(ds, rates, ledger)
+    assert total_values(ds, rates, ledger, valued=valued) == ref_total_values(ds, valued)
+
+
+# --------------------------------------------------------------------- #
+# the §5.1 latent panel: compared as mappings keyed by (month, user)
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def latent(ds):
+    return fit_latent_classes(ds, k=12, seed=0, n_init=2)
+
+
+def _assignment_tables(model) -> List[Assignment]:
+    """``model``'s assignments as one {user id: class} dict per month."""
+    return [model.assignment_for(month) for month in model.months]
+
+
+def test_user_month_profiles_parity(ds):
+    panel = user_month_profiles(ds)
+    periods, months = ref_user_month_profiles(ds)
+    assert panel.months == months
+    users = panel.user_ids[panel.user_code].tolist()
+    fast = {
+        (months[pos], user): tuple(row)
+        for pos, user, row in zip(panel.month_pos.tolist(), users, panel.counts.tolist())
+    }
+    slow = {
+        (month, user): tuple(vector.tolist())
+        for month, period in zip(months, periods)
+        for user, vector in period.items()
+    }
+    assert fast == slow
+    # One row per case, sorted by (month, user code).
+    keys = panel.month_pos * len(panel.user_ids) + panel.user_code
+    assert (np.diff(keys) > 0).all()
+
+
+def test_fit_latent_transitions_parity(latent):
+    """Fed the same cases in the same order, the array fit and the
+    per-period reference agree on every output."""
+    panel = latent.panel
+    periods: List[Dict[int, np.ndarray]] = [{} for _ in panel.months]
+    for pos, code, row in zip(panel.month_pos.tolist(), panel.user_code.tolist(), panel.counts):
+        periods[pos][code] = row
+    mixture, transition, occupancy, assignments = ref_fit_latent_transitions(
+        periods, k=12, seed=0, n_init=2, feature_names=list(FEATURE_NAMES)
+    )
+    assert np.array_equal(mixture.rates, latent.mixture.rates)
+    assert np.array_equal(mixture.weights, latent.mixture.weights)
+    assert np.array_equal(transition, latent.ltm.transition)
+    assert np.array_equal(occupancy, latent.ltm.occupancy)
+    fast = {
+        (pos, code): klass
+        for pos, code, klass in zip(
+            panel.month_pos.tolist(), panel.user_code.tolist(),
+            latent.ltm.assignments.tolist(),
+        )
+    }
+    slow = {
+        (pos, code): klass
+        for pos, table in enumerate(assignments)
+        for code, klass in table.items()
+    }
+    assert fast == slow
+
+
+def test_latent_consumers_parity(ds, latent):
+    months, tables = latent.months, _assignment_tables(latent)
+    for role in ("made", "accepted"):
+        assert class_activity_series(ds, latent, role) == ref_class_activity_series(
+            ds, months, tables, role
+        )
+    assert top_flows(ds, latent) == ref_top_flows(ds, months, tables)
+    fast = era_transition_matrices(latent)
+    slow = ref_era_transition_matrices(months, tables, latent.k)
+    assert list(fast) == list(slow)
+    assert all(np.array_equal(fast[name], slow[name]) for name in fast)
+
+
+def test_report_builds_no_entity_list():
+    """The 29 experiments read columns: on a column-backed market they
+    run without materializing a whole entity list."""
+    from repro.report.experiments import ExperimentContext, run_all_experiments
+
+    result = MarketSimulator(SimulationConfig(scale=0.02, seed=7)).run()
+    assert isinstance(result.dataset, ColumnBackedDataset)
+    tracer = enable_tracing()
+    try:
+        runs = run_all_experiments(ExperimentContext(result))
+    finally:
+        disable_tracing()
+    assert len(runs) == 29 and all(run.ok for run in runs)
+    assert tracer.counters.get("lazy.materializations", 0) == 0
 
 
 def _calls_of(func, run) -> int:

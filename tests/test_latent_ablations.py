@@ -24,8 +24,7 @@ from repro.stats.overdispersion import dispersion_index, within_class_dispersion
 def user_months():
     """The pooled user-month count matrix of the scale-0.05 market."""
     dataset = generate_market(scale=0.05, seed=20201027).dataset
-    panel, _ = user_month_profiles(dataset)
-    return np.vstack([np.vstack(list(p.values())) for p in panel if p])
+    return user_month_profiles(dataset).counts
 
 
 def test_lca_class_count_sweep(user_months):

@@ -159,6 +159,37 @@ class TestObjectLoopInKernel:
         )
         assert findings == []
 
+    def test_flags_ratings_loop_in_reputation_module(self):
+        findings = lint_one(
+            "def scores(ds):\n"
+            "    return [r.score for r in ds.ratings]\n",
+            path="src/repro/analysis/reputation.py",
+        )
+        assert rule_ids(findings) == ["R004"]
+        assert ".ratings" in findings[0].message
+
+    def test_flags_loop_over_in_era_in_disputes_module(self):
+        # The query's list counts whether it is looped over in place or
+        # bound to a name first.
+        findings = lint_one(
+            "def rate(ds, era):\n"
+            "    contracts = ds.in_era(era)\n"
+            "    disputed = sum(1 for c in contracts if c.status)\n"
+            "    return disputed, [c.maker_id for c in ds.in_era(era)]\n",
+            path="src/repro/analysis/disputes.py",
+        )
+        assert rule_ids(findings) == ["R004"]
+        assert len(findings) == 2
+        assert all("in_era()" in f.message for f in findings)
+
+    def test_allows_row_subset_materializer(self):
+        findings = lint_one(
+            "def texts(ds, rows):\n"
+            "    return [c.maker_obligation for c in ds.contracts_at(rows)]\n",
+            path="src/repro/analysis/textfeatures.py",
+        )
+        assert findings == []
+
     def test_flags_plain_function_in_fastgen_module(self):
         # Every function in the columnar engine is held to the kernel
         # contract, no naming convention or decorator needed.

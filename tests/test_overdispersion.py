@@ -77,8 +77,7 @@ class TestWithinClassDispersion:
     def test_user_month_panel_supports_poisson_choice(self, tiny_dataset):
         from repro.analysis.latent import user_month_profiles
 
-        panel, _ = user_month_profiles(tiny_dataset)
-        Y = np.vstack([np.vstack(list(p.values())) for p in panel if p])
+        Y = user_month_profiles(tiny_dataset).counts
         model = fit_poisson_mixture(Y, 8, seed=1, n_init=2)
         per_class = within_class_dispersion(Y, model)
         assert per_class

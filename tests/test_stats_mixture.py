@@ -212,9 +212,17 @@ class TestMatchesRowLevelReference:
 
     def test_user_month_panel(self, tiny_dataset):
         """The report's fit (12 classes, two restarts) on real user-months."""
-        panel, _ = user_month_profiles(tiny_dataset)
-        Y = np.vstack([vector for period in panel for vector in period.values()])
+        Y = user_month_profiles(tiny_dataset).counts
         self.assert_matches(Y, k=12, n_init=2, seed=0)
+
+
+def _arrays(panel):
+    """A panel given as one {unit: counts} dict per period, as the
+    (counts, period, unit) arrays of fit_latent_transitions."""
+    rows = [(t, unit, vector) for t, period in enumerate(panel)
+            for unit, vector in period.items()]
+    return (np.array([row[2] for row in rows], dtype=float),
+            np.array([row[0] for row in rows]), np.array([row[1] for row in rows]))
 
 
 class TestLatentTransitions:
@@ -231,40 +239,40 @@ class TestLatentTransitions:
 
     def test_sticky_panel_high_persistence(self):
         panel = self.make_panel(sticky=True)
-        result = fit_latent_transitions(panel, k=2, seed=0)
+        result = fit_latent_transitions(*_arrays(panel), k=2, seed=0)
         assert result.persistence().min() > 0.8
 
     def test_random_panel_low_persistence(self):
         panel = self.make_panel(sticky=False)
-        result = fit_latent_transitions(panel, k=2, seed=0)
+        result = fit_latent_transitions(*_arrays(panel), k=2, seed=0)
         assert result.persistence().max() < 0.75
 
     def test_rows_stochastic(self):
         panel = self.make_panel()
-        result = fit_latent_transitions(panel, k=2, seed=0)
+        result = fit_latent_transitions(*_arrays(panel), k=2, seed=0)
         assert np.allclose(result.transition.sum(axis=1), 1.0)
 
     def test_occupancy_counts(self):
         panel = self.make_panel(periods=3, n=60)
-        result = fit_latent_transitions(panel, k=2, seed=0)
+        result = fit_latent_transitions(*_arrays(panel), k=2, seed=0)
         assert result.occupancy.shape == (3, 2)
         assert result.occupancy.sum(axis=1).tolist() == [60, 60, 60]
 
     def test_stationary_distribution_sums_to_one(self):
         panel = self.make_panel()
-        result = fit_latent_transitions(panel, k=2, seed=0)
+        result = fit_latent_transitions(*_arrays(panel), k=2, seed=0)
         assert result.stationary_distribution().sum() == pytest.approx(1.0)
 
     def test_reuse_prefitted_mixture(self):
         panel = self.make_panel(periods=3, n=60)
         pooled = np.vstack([np.vstack(list(p.values())) for p in panel])
         mixture = fit_poisson_mixture(pooled, 2, seed=1)
-        result = fit_latent_transitions(panel, k=99, mixture=mixture)
+        result = fit_latent_transitions(*_arrays(panel), k=99, mixture=mixture)
         assert result.k == 2
 
     def test_empty_panel_rejected(self):
         with pytest.raises(ValueError):
-            fit_latent_transitions([], k=2)
+            fit_latent_transitions(np.empty((0, 2)), np.empty(0), np.empty(0), k=2)
 
     def test_users_entering_and_leaving(self):
         rng = np.random.default_rng(0)
@@ -273,5 +281,5 @@ class TestLatentTransitions:
             {2: rng.poisson((0.5, 3)), 3: rng.poisson((5, 0.5))},
             {3: rng.poisson((5, 0.5))},
         ]
-        result = fit_latent_transitions(panel, k=2, seed=0)
+        result = fit_latent_transitions(*_arrays(panel), k=2, seed=0)
         assert result.n_periods == 3

@@ -7,10 +7,9 @@ renders byte-identical artefacts.
   rankings break ties on their keys, never on row order.
 * Sorting contracts and posts by ``(created_at, id)``, the order a
   :class:`~repro.core.dataset.MarketDataset` keeps, changes the
-  within-month order too; every artefact but the four latent-class ones
-  renders the same bytes.  The §5.1 user-month panel keys each month's
-  users by first appearance, so the latent fit sees its rows in another
-  order (:data:`ROW_ORDER_DEPENDENT`).
+  within-month order too; every artefact renders the same bytes, the
+  latent-class ones included: the §5.1 user-month panel is keyed by
+  (month, user code), not by row.
 * A market loaded back from the cache, as fixed-width column tables,
   renders what the freshly generated one renders.
 
@@ -40,10 +39,6 @@ ORDER_SENSITIVE = {
     11: ("fig12", "table8"),
     123: ("disputes", "fig11", "table8"),
 }
-
-#: The latent-class artefacts, whose fit reads each month's users in the
-#: order their first contract of the month appears.
-ROW_ORDER_DEPENDENT = ("table6", "table8", "fig12", "fig13")
 
 
 def _texts(context, market):
@@ -111,10 +106,7 @@ def test_stores_render_every_artefact_alike(tmp_path):
     resident = rendered["resident"]
     assert sorted(resident) == sorted(ids)
     assert resident == rendered["type-major"] == rendered["partitioned"]
-    chronological = rendered["chronological"]
-    for experiment_id in ids:
-        if experiment_id not in ROW_ORDER_DEPENDENT:
-            assert chronological[experiment_id] == resident[experiment_id]
+    assert rendered["chronological"] == resident
 
 
 def test_cached_market_renders_like_the_fresh_one(sim_small, tmp_path):

@@ -65,6 +65,13 @@ class TestCategoryRecovery:
         assert close / checked > 0.85
 
 
+def _user_month_classes(model):
+    """(user id, recovered class) of every user-month case."""
+    panel = model.panel
+    users = panel.user_ids[panel.user_code].tolist()
+    return zip(users, model.ltm.assignments.tolist())
+
+
 class TestLatentClassRecovery:
     @pytest.fixture(scope="class")
     def recovery(self, sim_tiny):
@@ -76,16 +83,14 @@ class TestLatentClassRecovery:
         class with single-class user-months."""
         sim, model = recovery
         truth = sim.truth.user_class
-        month_positions = {m: i for i, m in enumerate(model.months)}
 
         # recovered class -> counts of truth tiers among member user-months
         from repro.synth.config import CLASS_TIERS
 
         tier_counts = {k: {"single": 0, "mid": 0, "power": 0} for k in range(model.k)}
-        for position, table in enumerate(model.ltm.assignments):
-            for user, klass in table.items():
-                tier = CLASS_TIERS.get(truth.get(user, "C"), "single")
-                tier_counts[klass][tier] += 1
+        for user, klass in _user_month_classes(model):
+            tier = CLASS_TIERS.get(truth.get(user, "C"), "single")
+            tier_counts[klass][tier] += 1
 
         # Find the recovered class holding the most power user-months; its
         # single-tier contamination must be limited.
@@ -103,12 +108,11 @@ class TestLatentClassRecovery:
         truth = sim.truth.user_class
 
         spread: dict = {}
-        for table in model.ltm.assignments:
-            for user, klass in table.items():
-                true_class = truth.get(user)
-                if true_class is None:
-                    continue
-                spread.setdefault(true_class, []).append(klass)
+        for user, klass in _user_month_classes(model):
+            true_class = truth.get(user)
+            if true_class is None:
+                continue
+            spread.setdefault(true_class, []).append(klass)
 
         # class C (single SALE makers) must be dominated by one recovered class
         c_assignments = np.asarray(spread.get("C", []))
