@@ -7,7 +7,6 @@ Usage::
     python -m repro experiment all --scale 0.1 --out results/    # everything
     python -m repro report --scale 0.1 --parallel 4              # cached full suite
     python -m repro report --trace --scale 0.05                  # + timing tree/manifest
-    python -m repro report --store partitioned --scale 1         # via cache format v4
     python -m repro stream funnel --era covid-19 --scale 1       # opens 4 months only
     python -m repro stream growth --window 2019-03 2020-03       # windowed query
     python -m repro trace show run_manifest.json                 # render a manifest
@@ -86,12 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "or ~/.cache/repro)")
     report.add_argument("--no-cache", action="store_true",
                         help="always regenerate; don't read or write the cache")
-    report.add_argument("--store", choices=("resident", "partitioned"),
-                        default="resident",
-                        help="dataset source: 'resident' caches monolithic "
-                             "column files (format v2); 'partitioned' builds "
-                             "the month-partitioned store (format v4) and "
-                             "materializes it for the resident experiments")
     report.add_argument("--trace", action="store_true",
                         help="record span timings and counters, print the "
                              "timing tree, and write run_manifest.json next "
@@ -459,7 +452,6 @@ def _cmd_report(args) -> int:
         "report",
         _config(args),
         wanted,
-        store="resident" if args.no_cache else args.store,
         latent_k=args.latent_k,
         parallel=args.parallel,
         policy=RetryPolicy(
@@ -477,11 +469,6 @@ def _cmd_report(args) -> int:
     result = market.result
     if args.no_cache:
         source = "generated (cache disabled)"
-    elif context.store == "partitioned":
-        source = (
-            "partitioned store hit" if market.hit
-            else "streamed to partitioned store"
-        )
     else:
         source = "cache hit" if market.hit else "generated and cached"
     print(

@@ -1,11 +1,13 @@
-"""Month-partitioned on-disk dataset store (cache format v4).
+"""Month-partitioned on-disk dataset store (format v4), the format of
+every dataset cache entry (:mod:`repro.synth.cache`).
 
 The paper's analyses are longitudinal: every figure folds the market
 month by month across the SET-UP/STABLE/COVID-19 eras.  A resident
 :class:`~repro.core.columns.ColumnStore` holds the whole history in
 memory (~617 MB at paper scale); this module stores the same tables as
 *one npz shard per creation month* so a windowed or per-era query opens
-only the months it touches.
+only the months it touches, and a whole-history read
+(:meth:`PartitionStore.tables`) reads each shard once.
 
 Layout of one store directory::
 
@@ -18,10 +20,12 @@ Layout of one store directory::
 
 Shards hold the cache column schema (``c_*``/``p_*``/``r_*`` keys, int64
 µs timestamps, :data:`~repro.core.columns.NAT_US` sentinel) and are
-written **uncompressed**, so members can be memory-mapped straight out
-of the zip container: opening a partition reads the manifest and the
-zip directory, and a column's npy header and bytes are read only when a
-kernel touches that column.
+written **uncompressed** by a small zip writer of this module (one
+local header per npy member, a fixed timestamp, so a shard's bytes are
+a function of its columns), so members can be memory-mapped straight
+out of the zip container: opening a partition verifies the shard's
+checksum and reads the zip directory, and a column's npy header and
+bytes are read only when a kernel touches that column.
 
 Text columns (``"str"`` in :data:`~repro.core.schema.COLUMN_SCHEMA`)
 are stored as two members, ``<key>.utf8`` (the rows' UTF-8 bytes
@@ -35,12 +39,15 @@ became 34.9 MB).  The encoding is private to this module: writers
 hand in any sequence of ``str`` and readers get ``np.str_`` arrays.
 
 Stores are published atomically
-(:func:`repro.robust.atomic.publish_dir`), carry per-file sha256
-checksums verified on first open (the bytes hashed are counted as
-``partition.verified_bytes``), and quarantine to
-``<entry>.corrupt-<n>`` like the v2 cache (counted as
-``partition.corrupt``).  A store of another format version reads as a
-stale miss and is overwritten by the next build.
+(:func:`repro.robust.atomic.publish_dir`) and carry a sha256 checksum
+for every file, verified on first open (the bytes hashed are counted as
+``partition.verified_bytes``); a manifest that lacks one is corrupt.  A
+store that shows anything a healthy store never shows — a torn or
+checksum-less manifest at open, a shard that fails its checksum or does
+not decode when read — moves itself to ``<path>.corrupt-<n>`` (counted
+as ``cache.corrupt``) before raising :class:`CorruptStoreError`, so the
+next open of a cache entry rebuilds it.  A store of another format
+version reads as a stale miss and is overwritten by the next build.
 
 Observability: every partition handed out bumps ``partition.opened`` —
 the counter the streaming tests assert on to prove a windowed query
@@ -50,12 +57,16 @@ resident table dict) bumps ``partition.materialized``.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import math
 import os
 import re
 import shutil
 import struct
 import zipfile
+import zlib
 from typing import (
     BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -63,7 +74,7 @@ from typing import (
 import numpy as np
 
 from ..obs.tracer import get_tracer
-from ..robust.atomic import publish_dir, sha256_file, staging_dir
+from ..robust.atomic import publish_dir, staging_dir
 from ..robust.crashpoints import crash_point
 from ..robust.quarantine import quarantine_dir
 from .columns import (
@@ -104,8 +115,7 @@ __all__ = [
 
 #: On-disk format version.  v3 was the first partitioned layout, with
 #: text as fixed-width UTF-32 members; v4 stores text as UTF-8 bytes
-#: plus row offsets (v1/v2 are the monolithic ``data.npz`` entries of
-#: :mod:`repro.synth.cache`).
+#: plus row offsets (v1 and v2 were single-file entries, read as stale).
 PARTITION_FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
@@ -119,11 +129,18 @@ _SHARD_KEYS = SHARD_KEYS
 
 class CorruptStoreError(Exception):
     """A partitioned store exists but cannot be trusted (torn publish,
-    checksum mismatch, undecodable shard); callers quarantine it."""
+    missing or mismatched checksum, undecodable shard)."""
 
 
 class StaleStoreError(Exception):
     """Manifest belongs to another format version or fingerprint."""
+
+
+def _corrupt(message: str, store_path: str) -> CorruptStoreError:
+    """The error to raise for an untrustworthy store, after moving the
+    store at ``store_path`` aside (a no-op once it is gone)."""
+    quarantine_dir(store_path)
+    return CorruptStoreError(message)
 
 
 def _shard_name(month_idx: int) -> str:
@@ -212,24 +229,78 @@ def _members(tables: Dict[str, ColumnLike], keys: Sequence[str]
 
 
 # --------------------------------------------------------------------- #
-# memory-mapped npz access
+# npz shards: written in one pass, read mapped or from one read
 # --------------------------------------------------------------------- #
 
+#: ZIP local file header, central directory header and end record
+#: (APPNOTE 4.3.7, 4.3.12, 4.3.16): every member stored, never deflated.
+_ZIP_LOCAL = struct.Struct("<4s5H3L2H")
+_ZIP_CENTRAL = struct.Struct("<4s6H3L5H2L")
+_ZIP_END = struct.Struct("<4s4H2LH")
+#: DOS date of 1980-01-01, the earliest a ZIP entry can carry.
+_ZIP_DATE = 0x21
 
-def _npz_member_index(path: str) -> Dict[str, int]:
+
+def _npy_bytes(array: np.ndarray) -> bytes:
+    """``array`` as an npy v1.0 stream (the header ``np.save`` writes)."""
+    if array.dtype.hasobject:
+        raise TypeError("object columns cannot be stored without pickling")
+    header = "{'descr': %r, 'fortran_order': False, 'shape': %r, }" % (
+        np.lib.format.dtype_to_descr(array.dtype), array.shape,
+    )
+    # Magic, version and length take 10 bytes; pad to 64 with a newline.
+    header += " " * (-(len(header) + 11) % 64) + "\n"
+    return (b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header))
+            + header.encode("latin1") + np.ascontiguousarray(array).tobytes())
+
+
+def _write_npz(path: str, members: Dict[str, np.ndarray]) -> str:
+    """Write ``members`` as an uncompressed npz at ``path``; return the
+    sha256 of the bytes written.
+
+    ``np.savez`` opens and closes a zip entry per member, which was most
+    of a small store's build time; here the archive is assembled in
+    memory with one local header per member, hashed and written once.
+    """
+    parts: List[bytes] = []
+    central: List[bytes] = []
+    offset = 0
+    for key, array in members.items():
+        name = (key + ".npy").encode("ascii")
+        payload = _npy_bytes(array)
+        crc, size = zlib.crc32(payload), len(payload)
+        if offset + size >= 1 << 32:
+            raise ValueError(f"shard {path} exceeds the 4 GiB zip limit")
+        parts += [_ZIP_LOCAL.pack(b"PK\x03\x04", 20, 0, 0, 0, _ZIP_DATE,
+                                  crc, size, size, len(name), 0),
+                  name, payload]
+        central.append(_ZIP_CENTRAL.pack(
+            b"PK\x01\x02", 20, 20, 0, 0, 0, _ZIP_DATE, crc, size, size,
+            len(name), 0, 0, 0, 0, 0, offset) + name)
+        offset += _ZIP_LOCAL.size + len(name) + size
+    directory = b"".join(central)
+    parts += [directory, _ZIP_END.pack(b"PK\x05\x06", 0, 0, len(central),
+                                        len(central), len(directory), offset, 0)]
+    data = b"".join(parts)
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _npz_member_index(handle: BinaryIO) -> Dict[str, int]:
     """Map member name -> offset of its npy stream, for every ZIP_STORED
-    npy member of an uncompressed npz.
+    npy member of the uncompressed npz open as ``handle``.
 
     ``np.load(..., mmap_mode=...)`` refuses zip containers, but a shard
     written by :class:`PartitionWriter` stores members uncompressed, so
     each npy stream is a contiguous byte range of the archive file.
     Only the zip directory and local headers are read here; a member's
     npy header is parsed when the member is first read
-    (:func:`_npy_layout`).  Compressed members are left out; the reader
-    falls back to ``np.load`` for them.
+    (:func:`_npy_layout`).  Compressed members are left out, so reading
+    one fails like a missing member.
     """
     index: Dict[str, int] = {}
-    with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
+    with zipfile.ZipFile(handle) as archive:
         for info in archive.infolist():
             name = info.filename
             if not name.endswith(".npy") or info.compress_type != zipfile.ZIP_STORED:
@@ -247,7 +318,7 @@ def _npz_member_index(path: str) -> Dict[str, int]:
     return index
 
 
-#: The npy header ``np.savez`` writes for a plain (non-structured) array.
+#: The npy header ``np.save`` writes for a plain (non-structured) array.
 _NPY_HEADER = re.compile(
     r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
     r"'shape': \(([0-9, ]*)\), \}"
@@ -256,7 +327,7 @@ _NPY_HEADER = re.compile(
 
 def _npy_layout(handle: BinaryIO, payload: int) -> Optional[tuple]:
     """(data_offset, dtype, shape, fortran) of the npy stream at
-    ``payload``, or ``None`` for one that cannot be mapped in place."""
+    ``payload``, or ``None`` for one that cannot be read in place."""
     handle.seek(payload)
     magic = handle.read(8)
     if magic[:6] != b"\x93NUMPY":
@@ -280,23 +351,36 @@ def _npy_layout(handle: BinaryIO, payload: int) -> Optional[tuple]:
 
 
 class _ShardFile:
-    """Lazy column access into one npz shard, memory-mapped per member.
+    """Lazy column access into one npz shard.
 
-    Columns are materialized (as read-only memmaps where possible, via
-    ``np.load`` otherwise) on first access and memoized; an untouched
+    Columns are materialized on first access and memoized; an untouched
     column costs nothing beyond its zip directory entry.  A text column
-    is decoded from its two members on first access.  Each member gets
-    its own map: one map over the whole shard would let page faults map
+    is decoded from its two members on first access.  A shard opened
+    from its path maps each member read-only; each member gets its own
+    map, since one map over the whole shard would let page faults map
     the neighbouring, unread members too, and count them as resident.
+    A shard handed its bytes (``data``, already read to verify them)
+    takes each member as a view of those bytes.  A member that does not
+    decode moves the whole store aside (see :func:`_corrupt`).
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = path
+    def __init__(self, store_path: str, name: str,
+                 data: Optional[bytes] = None) -> None:
+        self.store_path = store_path
+        self.path = os.path.join(store_path, name)
+        self._data = data
         self._cols: Dict[str, np.ndarray] = {}
         try:
-            self._index = _npz_member_index(path)
+            with self._open() as handle:
+                self._index = _npz_member_index(handle)
         except (OSError, zipfile.BadZipFile, EOFError) as exc:
-            raise CorruptStoreError(f"unreadable shard {path}: {exc!r}") from exc
+            raise _corrupt(f"unreadable shard {self.path}: {exc!r}",
+                           store_path) from exc
+
+    def _open(self) -> BinaryIO:
+        if self._data is not None:
+            return io.BytesIO(self._data)
+        return open(self.path, "rb")
 
     def __getitem__(self, key: str) -> np.ndarray:
         found = self._cols.get(key)
@@ -314,27 +398,30 @@ class _ShardFile:
         return self._member(key + _UTF8), self._member(key + _OFFSETS)
 
     def _member(self, name: str) -> np.ndarray:
-        payload = self._index.get(name)
         try:
-            with open(self.path, "rb") as handle:
-                layout = (
-                    None if payload is None else _npy_layout(handle, payload)
+            with self._open() as handle:
+                layout = _npy_layout(handle, self._index[name])
+                if layout is None:
+                    raise ValueError("not a plain npy stream")
+                offset, dtype, shape, fortran = layout
+                count = math.prod(shape)
+                if dtype.itemsize == 0 or count == 0:
+                    # mmap cannot map zero bytes; an empty column needs
+                    # no backing anyway.
+                    return np.empty(shape, dtype=dtype)
+                order = "F" if fortran else "C"
+                if self._data is not None:
+                    return np.frombuffer(
+                        self._data, dtype=dtype, count=count, offset=offset,
+                    ).reshape(shape, order=order)
+                return np.memmap(
+                    handle, dtype=dtype, mode="r", offset=offset,
+                    shape=shape, order=order,
                 )
-                if layout is not None:
-                    offset, dtype, shape, fortran = layout
-                    if dtype.itemsize == 0 or int(np.prod(shape)) == 0:
-                        # mmap cannot map zero bytes; an empty column
-                        # needs no backing anyway.
-                        return np.empty(shape, dtype=dtype)
-                    return np.memmap(
-                        handle, dtype=dtype, mode="r", offset=offset,
-                        shape=shape, order="F" if fortran else "C",
-                    )
-            with np.load(self.path) as data:
-                return data[name]
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-            raise CorruptStoreError(
-                f"undecodable member {name!r} in {self.path}: {exc!r}"
+        except (OSError, KeyError, TypeError, ValueError, struct.error) as exc:
+            raise _corrupt(
+                f"undecodable member {name!r} in {self.path}: {exc!r}",
+                self.store_path,
             ) from exc
 
 
@@ -343,8 +430,9 @@ def _decode_column(key: str, shards: Sequence[_ShardFile]) -> np.ndarray:
     try:
         return _decode_text([shard.text(key) for shard in shards])
     except (ValueError, IndexError) as exc:  # UnicodeDecodeError included
-        raise CorruptStoreError(
-            f"undecodable text column {key!r}: {exc!r}"
+        raise _corrupt(
+            f"undecodable text column {key!r}: {exc!r}",
+            shards[0].store_path,
         ) from exc
 
 
@@ -503,8 +591,9 @@ class PartitionStore:
 
     Opening the store reads and validates only ``manifest.json``; a
     shard file is touched the first time its month is requested (its
-    sha256 is verified once, then columns map lazily).  Every partition
-    handed out bumps the ``partition.opened`` counter.
+    sha256 is verified once, then columns map lazily), or read whole by
+    :meth:`tables`.  Every partition handed out bumps the
+    ``partition.opened`` counter.
     """
 
     def __init__(self, path: str, manifest: Dict) -> None:
@@ -512,10 +601,9 @@ class PartitionStore:
         self.manifest = manifest
         self._shards: Dict[int, _ShardFile] = {}
         self._partitions: Dict[int, MonthPartition] = {}
-        self._verified: Dict[str, bool] = {}
         self._global: Optional[Dict[str, np.ndarray]] = None
         self._by_month: Dict[int, Dict] = {
-            int(entry["month"]): entry for entry in manifest.get("months", [])
+            int(entry["month"]): entry for entry in manifest["months"]
         }
         self.months: List[int] = sorted(self._by_month)
 
@@ -527,21 +615,24 @@ class PartitionStore:
         """Open a published store, validating the manifest.
 
         Raises :class:`StaleStoreError` on version/fingerprint mismatch
-        (the store is healthy, just not the one asked for) and
-        :class:`CorruptStoreError` on anything a healthy store never
-        exhibits.  Callers that can regenerate should quarantine on the
-        latter (see :func:`open_or_quarantine`).
+        (the store is healthy, just not the one asked for) and, after
+        quarantining the store, :class:`CorruptStoreError` on anything a
+        healthy store never exhibits, a file the manifest gives no
+        checksum for included.
         """
         manifest_path = os.path.join(path, MANIFEST_NAME)
         if not os.path.isfile(manifest_path):
-            raise CorruptStoreError(f"no manifest at {path}")
+            if os.path.isfile(os.path.join(path, "meta.json")):
+                # A cache entry of the retired single-file format.
+                raise StaleStoreError("format v2")
+            raise _corrupt(f"no manifest at {path}", path)
         try:
             with open(manifest_path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
         except (OSError, ValueError) as exc:
-            raise CorruptStoreError(f"unreadable manifest: {exc}") from exc
+            raise _corrupt(f"unreadable manifest: {exc}", path) from exc
         if not isinstance(manifest, dict) or "months" not in manifest:
-            raise CorruptStoreError("malformed manifest")
+            raise _corrupt("malformed manifest", path)
         if manifest.get("version") != PARTITION_FORMAT_VERSION:
             raise StaleStoreError(
                 f"format v{manifest.get('version')!r}, "
@@ -550,29 +641,43 @@ class PartitionStore:
         if (expect_fingerprint is not None
                 and manifest.get("fingerprint") != expect_fingerprint):
             raise StaleStoreError("config fingerprint mismatch")
+        months = manifest["months"]
+        if not isinstance(months, list) or not all(
+            isinstance(entry, dict) and "month" in entry and "file" in entry
+            for entry in months
+        ):
+            raise _corrupt("malformed manifest month index", path)
+        checksums = manifest.get("checksums")
+        unchecked = [
+            name for name in [GLOBAL_SHARD] + [e["file"] for e in months]
+            if not isinstance(checksums, dict) or name not in checksums
+        ]
+        if unchecked:
+            raise _corrupt(
+                f"manifest gives no checksum for {unchecked[0]}", path
+            )
         return cls(path, manifest)
 
     # -- shard access --------------------------------------------------- #
 
-    def _verify(self, name: str) -> None:
-        if self._verified.get(name):
-            return
-        checksums = self.manifest.get("checksums", {})
-        expected = checksums.get(name)
-        full = os.path.join(self.path, name)
-        if not os.path.isfile(full):
-            raise CorruptStoreError(f"missing shard {name}")
-        if expected is not None:
-            digest = sha256_file(full)
-            get_tracer().count(
-                "partition.verified_bytes", os.path.getsize(full)
+    def _verified(self, name: str) -> bytes:
+        """The bytes of shard ``name``, read once and checked against the
+        manifest's sha256."""
+        try:
+            with open(os.path.join(self.path, name), "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError as exc:
+            raise _corrupt(f"missing shard {name}", self.path) from exc
+        get_tracer().count("partition.verified_bytes", len(data))
+        expected = self.manifest["checksums"][name]
+        digest = hashlib.sha256(data).hexdigest()
+        if digest != expected:
+            raise _corrupt(
+                f"checksum mismatch on {name} "
+                f"(manifest {expected[:12]}…, file {digest[:12]}…)",
+                self.path,
             )
-            if digest != expected:
-                raise CorruptStoreError(
-                    f"checksum mismatch on {name} "
-                    f"(manifest {expected[:12]}…, file {digest[:12]}…)"
-                )
-        self._verified[name] = True
+        return data
 
     def partition(self, month: MonthLike) -> MonthPartition:
         """The partition for one month; bumps ``partition.opened``."""
@@ -584,8 +689,8 @@ class PartitionStore:
         found = self._partitions.get(month_idx)
         if found is None:
             name = entry["file"]
-            self._verify(name)
-            shard = _ShardFile(os.path.join(self.path, name))
+            self._verified(name)
+            shard = _ShardFile(self.path, name)
             found = MonthPartition(
                 month_idx, shard, dict(entry.get("counts", {}))
             )
@@ -639,8 +744,8 @@ class PartitionStore:
         """The month-free tables (users/threads/ledger), loaded once."""
         if self._global is None:
             get_tracer().count("partition.global_opened")
-            self._verify(GLOBAL_SHARD)
-            shard = _ShardFile(os.path.join(self.path, GLOBAL_SHARD))
+            self._verified(GLOBAL_SHARD)
+            shard = _ShardFile(self.path, GLOBAL_SHARD)
             self._global = {key: shard[key] for key in GLOBAL_KEYS}
         return self._global
 
@@ -650,18 +755,34 @@ class PartitionStore:
         partitioning — prefer ``iter_months`` — but the classic
         registry's resident analyses need it.  For a generated store it
         equals the resident market of the same config, column for
-        column."""
-        out: Dict[str, np.ndarray] = dict(self.global_tables())
-        parts = list(self.iter_months())
-        for key in _SHARD_KEYS:
-            if key in _TEXT_KEYS:
-                out[key] = _decode_column(
-                    key, [self._shards[part.month_idx] for part in parts]
-                )
-            elif parts:
-                out[key] = np.concatenate([part.col(key) for part in parts])
-            else:
-                out[key] = empty_column(key)
+        column.
+
+        The whole-history read, traced as ``partition.read``: each shard
+        is read once, its bytes checked against the manifest and its
+        columns taken from the same bytes, which are dropped once the
+        columns are concatenated.
+        """
+        tracer = get_tracer()
+        with tracer.span("partition.read"):
+            tracer.count("partition.global_opened")
+            global_shard = _ShardFile(
+                self.path, GLOBAL_SHARD, self._verified(GLOBAL_SHARD)
+            )
+            out: Dict[str, np.ndarray] = {
+                key: global_shard[key] for key in GLOBAL_KEYS
+            }
+            shards = []
+            for month_idx in self.months:
+                tracer.count("partition.opened")
+                name = self._by_month[month_idx]["file"]
+                shards.append(_ShardFile(self.path, name, self._verified(name)))
+            for key in _SHARD_KEYS:
+                if key in _TEXT_KEYS:
+                    out[key] = _decode_column(key, shards)
+                elif shards:
+                    out[key] = np.concatenate([shard[key] for shard in shards])
+                else:
+                    out[key] = empty_column(key)
         return out
 
     def materialize(self) -> ColumnBackedDataset:
@@ -680,19 +801,16 @@ class PartitionStore:
 def open_or_quarantine(path: str,
                        expect_fingerprint: Optional[str] = None
                        ) -> Optional[PartitionStore]:
-    """Open a store; quarantine and report a miss when it is corrupt.
+    """Open a store, or report a miss.
 
-    Returns ``None`` for missing, stale or (after quarantining, counted
-    as ``partition.corrupt``) corrupt stores.
+    Returns ``None`` for missing, stale or corrupt stores; a corrupt one
+    has quarantined itself (counted as ``cache.corrupt``).
     """
     if not os.path.isdir(path):
         return None
     try:
         return PartitionStore.open(path, expect_fingerprint)
-    except StaleStoreError:
-        return None
-    except CorruptStoreError:
-        quarantine_dir(path, counter="partition.corrupt")
+    except (StaleStoreError, CorruptStoreError):
         return None
 
 
@@ -732,7 +850,7 @@ class PartitionWriter:
         os.makedirs(os.path.dirname(os.path.abspath(final_path)), exist_ok=True)
         self._meta = dict(meta or {})
         self._months: List[Dict] = []
-        self._global_written = False
+        self._checksums: Dict[str, str] = {}
         self._finalized = False
 
     def add_month(self, month_idx: int, tables: Dict[str, ColumnLike]) -> None:
@@ -754,10 +872,12 @@ class PartitionWriter:
                 raise KeyError(f"unknown shard column {key!r}")
             full[key] = col
         name = _shard_name(month_idx)
-        path = os.path.join(self.stage, name)
         # Uncompressed container: members stay ZIP_STORED so the reader
         # can memory-map them in place.
-        np.savez(path, **_members(full, SHARD_KEYS))
+        self._checksums[name] = _write_npz(
+            os.path.join(self.stage, name), _members(full, SHARD_KEYS)
+        )
+        crash_point("partition.save.mid_write")
         self._months.append({
             "month": month_idx,
             "file": name,
@@ -771,26 +891,20 @@ class PartitionWriter:
 
     def set_global(self, tables: Dict[str, ColumnLike]) -> None:
         """Write the month-free tables (users/threads/ledger)."""
-        np.savez(
+        self._checksums[GLOBAL_SHARD] = _write_npz(
             os.path.join(self.stage, GLOBAL_SHARD),
-            **_members(tables, GLOBAL_KEYS),
+            _members(tables, GLOBAL_KEYS),
         )
-        self._global_written = True
 
     def finalize(self) -> str:
-        """Checksum every staged file, write the manifest, publish."""
-        if not self._global_written:
+        """Write the manifest, with every shard's checksum, and publish."""
+        if GLOBAL_SHARD not in self._checksums:
             raise RuntimeError("set_global() must run before finalize()")
-        checksums = {GLOBAL_SHARD: sha256_file(
-            os.path.join(self.stage, GLOBAL_SHARD))}
-        for entry in self._months:
-            checksums[entry["file"]] = sha256_file(
-                os.path.join(self.stage, entry["file"]))
         manifest = {
             "version": PARTITION_FORMAT_VERSION,
             "months": self._months,
             "global": GLOBAL_SHARD,
-            "checksums": checksums,
+            "checksums": self._checksums,
             **self._meta,
         }
         with open(os.path.join(self.stage, MANIFEST_NAME), "w",

@@ -6,21 +6,22 @@ failure shapes the cache and runner are hardened against, all
 deterministic (seeded where randomness is involved) so a failing
 robustness test reproduces bit-for-bit:
 
-* **truncated ``data.npz``** — :func:`truncate_npz` cuts the archive
-  short; :func:`scramble_npz` flips bytes in the middle (caught by the
-  checksum even when the zip directory survives);
-* **malformed / partial ``meta.json``** — :func:`corrupt_meta` writes
-  non-JSON, drops required keys, or falsifies the stored checksum;
-* **mid-``save_result`` crashes** — :func:`crash_on` arms the named
-  crash points (:mod:`repro.robust.crashpoints`) inside the cache's
-  write path;
+* **truncated or scrambled shards** — :func:`truncate_npz` cuts a month
+  shard of a cache entry short; :func:`scramble_npz` overwrites bytes
+  in its middle (caught by the checksum even when the zip directory
+  survives);
+* **malformed / partial ``manifest.json``** — :func:`corrupt_meta`
+  writes non-JSON, drops the checksums, or falsifies them;
+* **crashes while a store is written** — :func:`crash_on` arms the
+  named crash points (:mod:`repro.robust.crashpoints`) inside the
+  store's write path;
 * **N-th-call experiment failures** — :func:`install_flaky_experiment`
   wraps a registry entry so its first N invocations (per process)
   raise :class:`InjectedFault`, which is how the runner's retry,
   backoff and degraded-failure paths are driven.
 
 Everything can also be armed from the environment: set
-``REPRO_FAULTS="experiment:table3:2,crash:cache.save.before_publish:1"``
+``REPRO_FAULTS="experiment:table3:2,crash:partition.save.before_publish:1"``
 and the CLI arms the directives at startup (``arm_from_env``), so
 ``make test-faults`` and manual ``repro report`` runs can inject faults
 without touching code.  :func:`reset` restores the pristine state.
@@ -69,13 +70,22 @@ class InjectedFault(RuntimeError):
 # --------------------------------------------------------------------- #
 
 
+def _first_shard(entry_dir: str) -> str:
+    """Path of the first month shard of the store at ``entry_dir``."""
+    return os.path.join(entry_dir, min(
+        name for name in os.listdir(entry_dir)
+        if name.startswith("m") and name.endswith(".npz")
+    ))
+
+
 def truncate_npz(entry_dir: str, fraction: float = 0.5) -> int:
-    """Truncate ``<entry>/data.npz`` to ``fraction`` of its size.
+    """Truncate the first month shard of the store at ``entry_dir`` to
+    ``fraction`` of its size.
 
     Returns the new size in bytes (at least 1, so the file still exists
     and the failure is a *corrupt read*, not a missing file).
     """
-    path = os.path.join(entry_dir, "data.npz")
+    path = _first_shard(entry_dir)
     size = os.path.getsize(path)
     keep = max(1, int(size * fraction))
     os.truncate(path, keep)
@@ -83,12 +93,13 @@ def truncate_npz(entry_dir: str, fraction: float = 0.5) -> int:
 
 
 def scramble_npz(entry_dir: str, n_bytes: int = 64, seed: int = 0) -> None:
-    """Overwrite ``n_bytes`` in the middle of ``data.npz`` with seeded noise.
+    """Overwrite ``n_bytes`` in the middle of the first month shard with
+    seeded noise.
 
     Unlike truncation this keeps the zip end-of-central-directory intact,
-    so only the sha256 checksum (or a decompression error) can catch it.
+    so only the sha256 checksum can catch it.
     """
-    path = os.path.join(entry_dir, "data.npz")
+    path = _first_shard(entry_dir)
     size = os.path.getsize(path)
     rng = np.random.default_rng(seed)
     offset = max(0, size // 2 - n_bytes // 2)
@@ -99,29 +110,30 @@ def scramble_npz(entry_dir: str, n_bytes: int = 64, seed: int = 0) -> None:
 
 
 def corrupt_meta(entry_dir: str, mode: str = "malformed") -> None:
-    """Damage ``<entry>/meta.json`` in one of three ways.
+    """Damage ``<entry>/manifest.json`` in one of three ways.
 
     ``malformed`` writes syntactically invalid JSON; ``partial`` keeps
-    valid JSON but drops the ``checksums`` and ``counts`` keys (a torn
-    legacy write); ``checksum`` falsifies the stored ``data.npz``
-    digest so the archive no longer verifies.
+    valid JSON but drops the ``checksums`` (a torn or hand-edited
+    manifest); ``checksum`` falsifies every shard's stored digest so no
+    shard verifies.
     """
-    path = os.path.join(entry_dir, "meta.json")
+    path = os.path.join(entry_dir, "manifest.json")
     if mode == "malformed":
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"version": 2, "scale": ')  # cut mid-value
+            handle.write('{"version": 4, "months": ')  # cut mid-value
         return
     with open(path, "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
+        manifest = json.load(handle)
     if mode == "partial":
-        meta.pop("checksums", None)
-        meta.pop("counts", None)
+        manifest.pop("checksums", None)
     elif mode == "checksum":
-        meta["checksums"] = {"data.npz": "0" * 64}
+        manifest["checksums"] = {
+            name: "0" * 64 for name in manifest["checksums"]
+        }
     else:
         raise ValueError(f"unknown corrupt_meta mode {mode!r}")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
+        json.dump(manifest, handle, indent=2, sort_keys=True)
 
 
 # --------------------------------------------------------------------- #
@@ -132,10 +144,11 @@ def corrupt_meta(entry_dir: str, mode: str = "malformed") -> None:
 def crash_on(point: str, at_call: int = 1) -> None:
     """Arm crash point ``point`` to raise :class:`InjectedCrash`.
 
-    The cache's write path exposes ``cache.save.mid_write`` (after
-    ``data.npz`` is staged, before ``meta.json``) and
-    ``cache.save.before_publish`` (everything staged, nothing
-    published); see :mod:`repro.synth.cache`.
+    The store's write path (:class:`~repro.core.partitions.
+    PartitionWriter`, behind every cache build and ``save_result``)
+    exposes ``partition.save.mid_write`` (after each month shard is
+    staged), ``partition.save.before_publish`` (everything staged,
+    nothing published) and ``partition.save.after_publish``.
     """
     arm_crash_point(point, at_call=at_call)
 

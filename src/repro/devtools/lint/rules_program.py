@@ -119,8 +119,8 @@ class CacheKeyCompleteness(ProgramRule):
 
     #: Module-level functions treated as generation entry points.
     _ENTRY_NAMES = {
-        "run_engine", "cached_generate", "cached_partitioned_store",
-        "stream_partitioned", "generate_market",
+        "run_engine", "cached_market", "cached_generate",
+        "cached_partitioned_store", "stream_partitioned", "generate_market",
         # repro.runs.runner: every run (resumed ones included) derives
         # its dataset from a RunContext, so these config reads are keyed.
         "context_for", "open_market",
@@ -257,7 +257,8 @@ class ForkSafety(ProgramRule):
     _LOCKS = {"FileLock", "Lock", "RLock", "Semaphore", "BoundedSemaphore",
               "Condition"}
     _TRACERS = {"get_tracer", "Tracer"}
-    _STORES = {"open_or_quarantine", "cached_partitioned_store", "memmap"}
+    _STORES = {"open_or_quarantine", "cached_market",
+               "cached_partitioned_store", "memmap"}
     _POOLS = {"ProcessPoolExecutor", "Pool"}
     _POOL_HOME = "src/repro/robust/parallel.py"
 

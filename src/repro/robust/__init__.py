@@ -1,6 +1,6 @@
 """repro.robust — the fault-tolerance layer for cache and runner.
 
-One torn ``data.npz`` or one failing experiment must never kill a whole
+One torn cache shard or one failing experiment must never kill a whole
 ``repro report`` run.  This package collects the crash-safety and
 degradation primitives that the dataset cache
 (:mod:`repro.synth.cache`) and the experiment runner

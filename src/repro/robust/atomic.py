@@ -1,7 +1,7 @@
 """Atomic directory publication and streaming checksums.
 
-The dataset cache persists one entry as a *directory* (``data.npz`` +
-``meta.json``).  Writing those files straight into the final location
+The dataset cache persists one entry as a *directory* (a manifest and
+one shard per month).  Writing those files straight into the final location
 leaves a torn entry behind whenever the process dies mid-write — the
 classic failure this module removes.  The publication protocol:
 

@@ -7,10 +7,10 @@ forked compute all resolve a context here, in three steps:
    :class:`~repro.synth.config.SimulationConfig`: the fingerprint, the
    resolved engine, versions, git revision and the reconstructable
    ``config`` overrides that resume rebuilds the dataset from;
-2. :func:`open_market` opens the dataset source the context names —
-   the month-partitioned store for ``store="partitioned"``, otherwise the
-   resident cache entry, or plain generation when the caller opts out of
-   the cache;
+2. :func:`open_market` opens the config's one dataset cache entry
+   (:mod:`repro.synth.cache`), with its resident market read or
+   generated when any of the context's ids needs it, or only generates
+   when the caller opts out of the cache;
 3. :func:`run_results` runs each result id through its registry:
    ``stream-<id>`` slices fold the partitioned store, ``summary`` is
    serve's dataset overview, every other id is a classic experiment.
@@ -112,7 +112,11 @@ def context_for(
 ) -> RunContext:
     """The :class:`RunContext` for running ``experiments`` on ``config``.
 
-    ``store`` names the dataset source :func:`open_market` will open;
+    ``store`` is a recorded identity field naming how the results read
+    the market: ``resident`` (the classic registry and the summary read
+    the whole history) or ``partitioned`` (slices fold month
+    partitions).  Both read the same cache entry and nothing branches on
+    it; it stays in the run key so recorded keys keep matching.
     ``policy`` (default :class:`~repro.robust.RetryPolicy`) is recorded
     for the run and for its resumption.  A config that the recorded
     overrides cannot rebuild (custom curves, say) keeps its
@@ -170,11 +174,14 @@ def _rebuild_config(context: RunContext) -> SimulationConfig:
 
 
 class Market:
-    """The dataset a context names, opened once.
+    """The dataset a context names, opened once: one cache entry.
 
-    A ``partitioned`` context's market holds the month-partitioned
-    :attr:`store`; a ``resident`` one holds the :attr:`result`.  ``hit``
-    says whether the dataset came out of the cache.
+    :attr:`store` is the entry's month-partitioned store, which slices
+    fold; :attr:`result` is the resident market the classic registry
+    and the summary read, handed over by the cache when it generated or
+    read it, else read from the store on first use.  ``hit`` says
+    whether the dataset came out of the cache.  A market generated with
+    the cache turned off has no store.
     """
 
     def __init__(
@@ -195,17 +202,17 @@ class Market:
     def store(self) -> "PartitionStore":
         """The month-partitioned store; slices read nothing else."""
         if self._store is None:
-            raise RunsError("slices need the partitioned store; this run "
-                            "reads the resident cache")
+            raise RunsError("slices need the dataset cache; this market "
+                            "was generated with the cache turned off")
         return self._store
 
     @property
     def result(self) -> "SimulationResult":
-        """The resident market, built from the store on first use."""
+        """The resident market, read from the store on first use."""
         if self._result is None:
-            from ..synth.cache import result_from_partitioned_store
+            from ..synth.marketsim import result_from_tables
 
-            self._result = result_from_partitioned_store(self.store, self.config)
+            self._result = result_from_tables(self.store.tables(), self.config)
         return self._result
 
     def experiment_context(self, latent_k: int) -> "ExperimentContext":
@@ -226,35 +233,30 @@ def open_market(
     use_cache: bool = True,
     refresh: bool = False,
 ) -> Market:
-    """Open the dataset source ``context`` names.
+    """Open the dataset ``context`` names: its config's cache entry.
 
-    A ``partitioned`` context opens (or builds) the month-partitioned
-    store; a ``resident`` one loads (or generates and caches) the cache
-    entry, or only generates with ``use_cache=False``.  ``refresh``
-    rebuilds a cached entry.
+    When any of the context's ids reads the resident market (every id
+    but a slice), the cache hands it over with the store — read in full,
+    so a corrupt shard is quarantined and the entry rebuilt here rather
+    than failing an experiment.  Slices alone get the store and read
+    only their months.  ``use_cache=False`` only generates;
+    ``refresh`` rebuilds the entry.
     Raises :class:`~repro.runs.store.RunsError` when the context's
     recorded config cannot be rebuilt or no longer matches its
     fingerprint.
     """
     config = _rebuild_config(context)
-    overrides = dict(context.config)
-    if context.store == "partitioned":
-        from ..synth.cache import cached_partitioned_store
-
-        store, hit = cached_partitioned_store(
-            cache_dir=cache_dir, refresh=refresh, **overrides
-        )
-        return Market(config, hit, store=store)
     if not use_cache:
         from ..synth.engine import run_engine
 
         return Market(config, False, result=run_engine(config))
-    from ..synth.cache import cached_generate
+    from ..synth.cache import cached_market
 
-    result, hit = cached_generate(
-        cache_dir=cache_dir, refresh=refresh, **overrides
+    resident = any(_registry(i) != "stream" for i in context.experiments)
+    store, result, hit = cached_market(
+        config, cache_dir, refresh=refresh, resident=resident
     )
-    return Market(config, hit, result=result)
+    return Market(config, hit, result=result, store=store)
 
 
 def stored_results(

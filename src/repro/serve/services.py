@@ -14,9 +14,10 @@ tiers, cheapest first:
    by :func:`~repro.runs.runner.stored_results` probing the key's run
    slots;
 3. **compute** — resolve the context through the same runner as the
-   CLI (:mod:`repro.runs.runner`): open its dataset through the ordinary
+   CLI (:mod:`repro.runs.runner`): open its dataset through the dataset
    cache (:mod:`repro.synth.cache`, itself keyed on the config
-   fingerprint inside the run key), run its ids, record the new run.
+   fingerprint inside the run key; experiments, summaries and slices of
+   one market share its one entry), run its ids, record the new run.
 
 Tier 3 is single-flight: concurrent requests for the same key serialize
 on a per-key lock and re-check the memo/store inside it, so two
@@ -175,8 +176,11 @@ class MarketService:
     ) -> RunContext:
         """A serve-originated :class:`RunContext` for one request.
 
-        Raises ``ValueError`` for an unbuildable config — routers map
-        that to a 400.
+        ``store_kind`` is the context's recorded ``store`` label
+        (``partitioned`` for slices; see
+        :func:`~repro.runs.runner.context_for`): every kind reads the
+        config's one cache entry.  Raises ``ValueError`` for an
+        unbuildable config — routers map that to a 400.
         """
         settings = self.settings
         return context_for(

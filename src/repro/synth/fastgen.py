@@ -44,7 +44,7 @@ from __future__ import annotations
 import datetime as _dt
 import logging
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def _cat(chunks: List[np.ndarray], dtype) -> np.ndarray:
 def _object_column(values: List[str]) -> np.ndarray:
     # Object dtype: building <U arrays from hundreds of thousands of
     # Python strings costs ~0.5s at full scale; pointer copies are free.
-    # The v2 cache converts to fixed-width strings at save time.
+    # The store writes text as UTF-8 and reads it back fixed-width.
     out = np.empty(len(values), dtype=object)
     out[:] = values
     return out
@@ -324,15 +324,25 @@ class MarketSimulator:
             tracer.count("synth.users.created", self.pop.n_users - users_before)
             yield month_index_of(month), table, truth
 
-    def run(self) -> SimulationResult:
-        """Generate the whole market: every month's table concatenated."""
+    def run(
+        self,
+        on_month: Optional[Callable[[int, Dict[str, object]], None]] = None,
+    ) -> SimulationResult:
+        """Generate the whole market: every month's table concatenated.
+
+        ``on_month(month_idx, table)`` sees each month's table as it is
+        generated, before the concatenation: the dataset cache writes
+        the month partitions of the market it generates this way.
+        """
         config = self.config
         logger.info("generating market: scale=%.3g seed=%d", config.scale, config.seed)
         start = time.perf_counter()
         with get_tracer().span("synth.generate"):
             tables: List[Dict[str, object]] = []
             truths: List[Dict[str, object]] = []
-            for _, table, truth in self.months():
+            for month_idx, table, truth in self.months():
+                if on_month is not None:
+                    on_month(month_idx, table)
                 tables.append(table)
                 truths.append(truth)
             columns = _concat_months(tables)

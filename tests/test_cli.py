@@ -115,10 +115,21 @@ class TestStreamCommand:
         assert code == 2
         assert "unknown stream experiment" in capsys.readouterr().err
 
-    def test_report_accepts_store_flag(self):
-        args = build_parser().parse_args(
-            ["report", "--store", "partitioned"])
-        assert args.store == "partitioned"
+    def test_report_has_no_store_flag(self):
+        """One dataset cache: there is no store for a report to choose."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--store", "partitioned"])
+
+    def test_report_and_stream_share_one_entry(self, tmp_path, capsys):
+        market = ["--scale", "0.004", "--seed", "9", "--no-posts",
+                  "--cache-dir", str(tmp_path), "--no-run-store"]
+        assert main(["report", "table1", *market]) == 0
+        assert "dataset: generated and cached" in capsys.readouterr().err
+        assert main(["stream", "all", *market]) == 0
+        assert "store: hit" in capsys.readouterr().err
+        entries = [name for name in os.listdir(tmp_path)
+                   if os.path.isdir(tmp_path / name)]
+        assert len(entries) == 1, entries
 
 
 class TestClosedPipe:

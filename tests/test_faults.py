@@ -148,11 +148,11 @@ class TestArmFromEnv:
     def test_arms_experiments_and_crash_points(self):
         original = EXPERIMENTS["table2"]
         armed = faults.arm_from_env(
-            {"REPRO_FAULTS": "experiment:table2:2,crash:cache.save.mid_write"}
+            {"REPRO_FAULTS": "experiment:table2:2,crash:partition.save.mid_write"}
         )
-        assert armed == ["experiment:table2:2", "crash:cache.save.mid_write"]
+        assert armed == ["experiment:table2:2", "crash:partition.save.mid_write"]
         assert EXPERIMENTS["table2"] is not original
-        assert armed_crash_points() == {"cache.save.mid_write": 1}
+        assert armed_crash_points() == {"partition.save.mid_write": 1}
         faults.reset()
         assert EXPERIMENTS["table2"] is original
         assert armed_crash_points() == {}

@@ -173,6 +173,8 @@ class TestManifest:
             handle.write(b"\xff" * 32)
         with pytest.raises(CorruptStoreError):
             store.partition(store.months[0])
+        assert not os.path.exists(broken)
+        assert os.path.isdir(broken + ".corrupt-1")
 
     def test_missing_shard_is_corrupt(self, store_path, tmp_path):
         broken = str(tmp_path / "missing-shard")
@@ -239,7 +241,7 @@ class TestFormatVersion:
         counters = tracer.snapshot()["counters"]
         assert not hit
         assert counters.get("cache.misses") == 1
-        assert counters.get("partition.corrupt") is None
+        assert counters.get("cache.corrupt") is None
         assert not [n for n in os.listdir(tmp_path) if ".corrupt-" in n]
         assert rebuilt.path == built.path
         assert rebuilt.manifest["version"] == PARTITION_FORMAT_VERSION

@@ -330,6 +330,43 @@ class TestKeyedReplay:
         assert replay.body == first.body
 
 
+def _spans_named(tracer, name):
+    stack, found = list(tracer.roots), 0
+    while stack:
+        node = stack.pop()
+        found += node.name == name
+        stack.extend(node.children)
+    return found
+
+
+class TestOneEntryPerMarket:
+    def test_summary_then_slice_generate_once(self, tmp_path):
+        """A market's summary and its slices read one cache entry, so a
+        fresh seed is generated once however it is first asked for."""
+        cache_dir = tmp_path / "cache"
+        service = services_mod.MarketService(ServeSettings(
+            api_keys=(KEY,), cache_dir=str(cache_dir),
+            use_run_store=False, use_fork=False,
+        ))
+        tracer = set_tracer(Tracer())
+        try:
+            summary = service.build_context(
+                "serve-summary", ("summary",), 0.004, 4242, posts=False
+            )
+            assert service.execute(summary).source == "computed"
+            growth = service.build_context(
+                "serve-stream", ("stream-growth",), 0.004, 4242, posts=False,
+                store_kind="partitioned",
+            )
+            reply = service.execute(growth)
+        finally:
+            set_tracer(NullTracer())
+        assert reply.ok and reply.source == "computed"
+        assert _spans_named(tracer, "synth.generate") == 1
+        assert len([n for n in os.listdir(cache_dir)
+                    if os.path.isdir(cache_dir / n)]) == 1
+
+
 class TestBoundedMemo:
     @pytest.fixture()
     def service(self, monkeypatch):
