@@ -233,6 +233,10 @@ def fit_latent_classes(
     # EM's cost per iteration follows the distinct profiles, not the rows.
     tracer.gauge("latent.rows", ltm.mixture.n_obs)
     tracer.gauge("latent.profiles", ltm.mixture.n_profiles)
+    # The best restart may stop at the iteration cap before the EM
+    # tolerance; Table 6 does not say so, the trace does.
+    tracer.gauge("latent.iterations", ltm.mixture.n_iter)
+    tracer.gauge("latent.converged", float(ltm.mixture.converged))
     labels = [_behaviour_label(ltm.mixture.rates[i]) for i in range(ltm.k)]
     return LatentClassModel(ltm=ltm, panel=panel, class_labels=labels, bic_by_k=bic_by_k)
 

@@ -58,17 +58,15 @@ resident table dict) bumps ``partition.materialized``.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
 import re
 import shutil
 import struct
-import zipfile
 import zlib
 from typing import (
-    BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -287,34 +285,53 @@ def _write_npz(path: str, members: Dict[str, np.ndarray]) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _npz_member_index(handle: BinaryIO) -> Dict[str, int]:
-    """Map member name -> offset of its npy stream, for every ZIP_STORED
-    npy member of the uncompressed npz open as ``handle``.
+def _npz_member_index(data: bytes) -> Dict[str, int]:
+    """Map member name -> offset of its npy stream, for every stored
+    (not deflated) npy member of the npz whose bytes are ``data``.
 
     ``np.load(..., mmap_mode=...)`` refuses zip containers, but a shard
     written by :class:`PartitionWriter` stores members uncompressed, so
-    each npy stream is a contiguous byte range of the archive file.
-    Only the zip directory and local headers are read here; a member's
-    npy header is parsed when the member is first read
-    (:func:`_npy_layout`).  Compressed members are left out, so reading
-    one fails like a missing member.
+    each npy stream is a contiguous byte range of the archive.  The end
+    record, the central directory and each member's local header are
+    read with ``struct`` (the local header, since ``np.savez`` gives it
+    a zip64 extra field the directory entry lacks); a member's npy
+    header is parsed when the member is first read (:func:`_npy_layout`).
+    Compressed members are left out, so reading one fails like a
+    missing member.  A directory that does not parse raises
+    ``ValueError`` or ``struct.error``.
     """
+    end = len(data) - _ZIP_END.size
+    if data[end:end + 4] != b"PK\x05\x06":
+        # The end record ends in a comment of up to 64 KiB.
+        end = data.rfind(b"PK\x05\x06", max(0, end - 0xFFFF), end)
+    if end < 0:
+        raise ValueError("no zip end record")
+    *_, count, size, offset, comment = _ZIP_END.unpack_from(data, end)
+    if end + _ZIP_END.size + comment != len(data) or offset + size > end:
+        raise ValueError("zip end record does not fit the archive")
     index: Dict[str, int] = {}
-    with zipfile.ZipFile(handle) as archive:
-        for info in archive.infolist():
-            name = info.filename
-            if not name.endswith(".npy") or info.compress_type != zipfile.ZIP_STORED:
-                continue
-            # Local file header: 30 fixed bytes, then name and extra
-            # field, then the stored payload (the raw .npy stream).
-            handle.seek(info.header_offset)
-            local = handle.read(30)
-            if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                continue
-            name_len, extra_len = struct.unpack("<HH", local[26:30])
-            index[name[: -len(".npy")]] = (
-                info.header_offset + 30 + name_len + extra_len
-            )
+    at = offset
+    for _ in range(count):
+        (magic, _, _, _, method, _, _, _, _, stored, name_len, extra_len,
+         comment_len, _, _, _, header) = _ZIP_CENTRAL.unpack_from(data, at)
+        if magic != b"PK\x01\x02":
+            raise ValueError(f"no zip directory entry at {at}")
+        # Member names are ASCII; latin-1 decodes any byte without the
+        # cp437 codec zipfile would import.
+        name = data[at + _ZIP_CENTRAL.size:
+                    at + _ZIP_CENTRAL.size + name_len].decode("latin-1")
+        at += _ZIP_CENTRAL.size + name_len + extra_len + comment_len
+        if method != 0 or not name.endswith(".npy"):
+            continue
+        local = _ZIP_LOCAL.unpack_from(data, header)
+        if local[0] != b"PK\x03\x04":
+            raise ValueError(f"no local header for {name}")
+        payload = header + _ZIP_LOCAL.size + local[-2] + local[-1]
+        if payload + stored > offset:
+            raise ValueError(f"member {name} overruns the directory")
+        index[name[: -len(".npy")]] = payload
+    if at != offset + size:
+        raise ValueError("zip directory size disagrees with its entries")
     return index
 
 
@@ -323,22 +340,25 @@ _NPY_HEADER = re.compile(
     r"\{'descr': '([^']+)', 'fortran_order': (False|True), "
     r"'shape': \(([0-9, ]*)\), \}"
 )
+#: Bytes read from a shard file to parse one member's npy header; the
+#: headers written here and by ``np.save`` take 64 to 128.
+_NPY_HEAD_BYTES = 4096
 
 
-def _npy_layout(handle: BinaryIO, payload: int) -> Optional[tuple]:
-    """(data_offset, dtype, shape, fortran) of the npy stream at
-    ``payload``, or ``None`` for one that cannot be read in place."""
-    handle.seek(payload)
-    magic = handle.read(8)
-    if magic[:6] != b"\x93NUMPY":
+def _npy_layout(buf: Union[bytes, memoryview], at: int) -> Optional[tuple]:
+    """(data_offset, dtype, shape, fortran) of the npy stream starting at
+    ``buf[at]``, or ``None`` for one that cannot be read in place."""
+    if buf[at:at + 6] != b"\x93NUMPY":
         return None
-    if magic[6] == 1:
-        (header_len,) = struct.unpack("<H", handle.read(2))
-        data_offset = payload + 10 + header_len
+    if buf[at + 6] == 1:
+        (header_len,) = struct.unpack_from("<H", buf, at + 8)
+        start = at + 10
     else:
-        (header_len,) = struct.unpack("<I", handle.read(4))
-        data_offset = payload + 12 + header_len
-    match = _NPY_HEADER.match(handle.read(header_len).decode("latin1"))
+        (header_len,) = struct.unpack_from("<I", buf, at + 8)
+        start = at + 12
+    if start + header_len > len(buf):
+        return None
+    match = _NPY_HEADER.match(str(buf[start:start + header_len], "latin1"))
     if match is None:
         return None
     dtype = np.dtype(match.group(1))
@@ -347,7 +367,7 @@ def _npy_layout(handle: BinaryIO, payload: int) -> Optional[tuple]:
     shape = tuple(
         int(dim) for dim in match.group(3).split(",") if dim.strip()
     )
-    return data_offset, dtype, shape, match.group(2) == "True"
+    return start + header_len, dtype, shape, match.group(2) == "True"
 
 
 class _ShardFile:
@@ -355,32 +375,27 @@ class _ShardFile:
 
     Columns are materialized on first access and memoized; an untouched
     column costs nothing beyond its zip directory entry.  A text column
-    is decoded from its two members on first access.  A shard opened
-    from its path maps each member read-only; each member gets its own
-    map, since one map over the whole shard would let page faults map
-    the neighbouring, unread members too, and count them as resident.
-    A shard handed its bytes (``data``, already read to verify them)
-    takes each member as a view of those bytes.  A member that does not
-    decode moves the whole store aside (see :func:`_corrupt`).
+    is decoded from its two members on first access.  The zip directory
+    is parsed from ``data``, the shard's bytes as read to verify them.
+    A shard that ``keep``s them takes each member as a view of those
+    bytes; otherwise it maps each member read-only from its file, each
+    with its own map, since one map over the whole shard would let page
+    faults map the neighbouring, unread members too, and count them as
+    resident.  A directory or member that does not decode moves the
+    whole store aside (see :func:`_corrupt`).
     """
 
-    def __init__(self, store_path: str, name: str,
-                 data: Optional[bytes] = None) -> None:
+    def __init__(self, store_path: str, name: str, data: bytes,
+                 keep: bool = False) -> None:
         self.store_path = store_path
         self.path = os.path.join(store_path, name)
-        self._data = data
+        self._data = memoryview(data) if keep else None
         self._cols: Dict[str, np.ndarray] = {}
         try:
-            with self._open() as handle:
-                self._index = _npz_member_index(handle)
-        except (OSError, zipfile.BadZipFile, EOFError) as exc:
+            self._index = _npz_member_index(data)
+        except (ValueError, struct.error) as exc:
             raise _corrupt(f"unreadable shard {self.path}: {exc!r}",
                            store_path) from exc
-
-    def _open(self) -> BinaryIO:
-        if self._data is not None:
-            return io.BytesIO(self._data)
-        return open(self.path, "rb")
 
     def __getitem__(self, key: str) -> np.ndarray:
         found = self._cols.get(key)
@@ -399,25 +414,32 @@ class _ShardFile:
 
     def _member(self, name: str) -> np.ndarray:
         try:
-            with self._open() as handle:
-                layout = _npy_layout(handle, self._index[name])
-                if layout is None:
-                    raise ValueError("not a plain npy stream")
-                offset, dtype, shape, fortran = layout
-                count = math.prod(shape)
-                if dtype.itemsize == 0 or count == 0:
-                    # mmap cannot map zero bytes; an empty column needs
-                    # no backing anyway.
-                    return np.empty(shape, dtype=dtype)
-                order = "F" if fortran else "C"
-                if self._data is not None:
-                    return np.frombuffer(
-                        self._data, dtype=dtype, count=count, offset=offset,
-                    ).reshape(shape, order=order)
-                return np.memmap(
-                    handle, dtype=dtype, mode="r", offset=offset,
-                    shape=shape, order=order,
-                )
+            payload = self._index[name]
+            if self._data is not None:
+                layout = _npy_layout(self._data, payload)
+            else:
+                with open(self.path, "rb") as handle:
+                    handle.seek(payload)
+                    layout = _npy_layout(handle.read(_NPY_HEAD_BYTES), 0)
+                if layout is not None:
+                    layout = (payload + layout[0],) + layout[1:]
+            if layout is None:
+                raise ValueError("not a plain npy stream")
+            offset, dtype, shape, fortran = layout
+            count = math.prod(shape)
+            if dtype.itemsize == 0 or count == 0:
+                # mmap cannot map zero bytes; an empty column needs
+                # no backing anyway.
+                return np.empty(shape, dtype=dtype)
+            order = "F" if fortran else "C"
+            if self._data is not None:
+                return np.frombuffer(
+                    self._data, dtype=dtype, count=count, offset=offset,
+                ).reshape(shape, order=order)
+            return np.memmap(
+                self.path, dtype=dtype, mode="r", offset=offset,
+                shape=shape, order=order,
+            )
         except (OSError, KeyError, TypeError, ValueError, struct.error) as exc:
             raise _corrupt(
                 f"undecodable member {name!r} in {self.path}: {exc!r}",
@@ -689,8 +711,7 @@ class PartitionStore:
         found = self._partitions.get(month_idx)
         if found is None:
             name = entry["file"]
-            self._verified(name)
-            shard = _ShardFile(self.path, name)
+            shard = _ShardFile(self.path, name, self._verified(name))
             found = MonthPartition(
                 month_idx, shard, dict(entry.get("counts", {}))
             )
@@ -744,8 +765,9 @@ class PartitionStore:
         """The month-free tables (users/threads/ledger), loaded once."""
         if self._global is None:
             get_tracer().count("partition.global_opened")
-            self._verified(GLOBAL_SHARD)
-            shard = _ShardFile(self.path, GLOBAL_SHARD)
+            shard = _ShardFile(
+                self.path, GLOBAL_SHARD, self._verified(GLOBAL_SHARD)
+            )
             self._global = {key: shard[key] for key in GLOBAL_KEYS}
         return self._global
 
@@ -766,7 +788,8 @@ class PartitionStore:
         with tracer.span("partition.read"):
             tracer.count("partition.global_opened")
             global_shard = _ShardFile(
-                self.path, GLOBAL_SHARD, self._verified(GLOBAL_SHARD)
+                self.path, GLOBAL_SHARD, self._verified(GLOBAL_SHARD),
+                keep=True,
             )
             out: Dict[str, np.ndarray] = {
                 key: global_shard[key] for key in GLOBAL_KEYS
@@ -775,7 +798,9 @@ class PartitionStore:
             for month_idx in self.months:
                 tracer.count("partition.opened")
                 name = self._by_month[month_idx]["file"]
-                shards.append(_ShardFile(self.path, name, self._verified(name)))
+                shards.append(_ShardFile(
+                    self.path, name, self._verified(name), keep=True
+                ))
             for key in _SHARD_KEYS:
                 if key in _TEXT_KEYS:
                     out[key] = _decode_column(key, shards)

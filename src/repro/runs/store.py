@@ -214,21 +214,23 @@ class RunHandle:
         harness can prove resumability (see ``tests/test_runs.py``).
         """
         crash_point("runs.record")
-        if result.ok and not result.metrics:
-            result.metrics = extract_metrics(result.lines)
-        artifact_rel = f"{_ARTIFACTS_DIR}/{result.experiment_id}.txt"
-        _atomic_write_text(
-            os.path.join(self.path, artifact_rel), result.text() + "\n"
-        )
-        result.artifacts = [artifact_rel]
-        result_path = os.path.join(
-            self.results_dir, f"{result.experiment_id}.json"
-        )
-        _atomic_write_text(
-            result_path,
-            json.dumps(result.to_payload(), indent=2, sort_keys=True) + "\n",
-        )
-        get_tracer().count("runs.recorded")
+        tracer = get_tracer()
+        with tracer.span("runs.record"):
+            if result.ok and not result.metrics:
+                result.metrics = extract_metrics(result.lines)
+            artifact_rel = f"{_ARTIFACTS_DIR}/{result.experiment_id}.txt"
+            _atomic_write_text(
+                os.path.join(self.path, artifact_rel), result.text() + "\n"
+            )
+            result.artifacts = [artifact_rel]
+            result_path = os.path.join(
+                self.results_dir, f"{result.experiment_id}.json"
+            )
+            _atomic_write_text(
+                result_path,
+                json.dumps(result.to_payload(), indent=2, sort_keys=True) + "\n",
+            )
+        tracer.count("runs.recorded")
         return result_path
 
     def finish(self) -> "RunRecord":
@@ -239,37 +241,39 @@ class RunHandle:
         stays ``running`` when results are still missing (a crash before
         the sweep finished).
         """
-        results = _load_results(self.path)
-        index: Dict[str, str] = {}
-        for sub in (_RESULTS_DIR, _ARTIFACTS_DIR):
-            subdir = os.path.join(self.path, sub)
-            if not os.path.isdir(subdir):
-                continue
-            for name in sorted(os.listdir(subdir)):
-                rel = f"{sub}/{name}"
-                index[rel] = sha256_file(os.path.join(self.path, rel))
-        missing = [eid for eid in self.planned if eid not in results]
-        if missing:
-            status = "running"
-        elif all(results[eid].ok for eid in self.planned):
-            status = "complete"
-        else:
-            status = "failed"
-        total_seconds = sum(r.seconds for r in results.values())
-        payload = _run_payload(
-            run_id=self.run_id,
-            status=status,
-            context=self.context,
-            planned=self.planned,
-            created_unix=self.created_unix,
-            total_seconds=total_seconds,
-            index=index,
-        )
-        _atomic_write_text(
-            os.path.join(self.path, RUN_FILE),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
-        get_tracer().count(f"runs.finished.{status}")
+        tracer = get_tracer()
+        with tracer.span("runs.finish"):
+            results = _load_results(self.path)
+            index: Dict[str, str] = {}
+            for sub in (_RESULTS_DIR, _ARTIFACTS_DIR):
+                subdir = os.path.join(self.path, sub)
+                if not os.path.isdir(subdir):
+                    continue
+                for name in sorted(os.listdir(subdir)):
+                    rel = f"{sub}/{name}"
+                    index[rel] = sha256_file(os.path.join(self.path, rel))
+            missing = [eid for eid in self.planned if eid not in results]
+            if missing:
+                status = "running"
+            elif all(results[eid].ok for eid in self.planned):
+                status = "complete"
+            else:
+                status = "failed"
+            total_seconds = sum(r.seconds for r in results.values())
+            payload = _run_payload(
+                run_id=self.run_id,
+                status=status,
+                context=self.context,
+                planned=self.planned,
+                created_unix=self.created_unix,
+                total_seconds=total_seconds,
+                index=index,
+            )
+            _atomic_write_text(
+                os.path.join(self.path, RUN_FILE),
+                json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            )
+        tracer.count(f"runs.finished.{status}")
         return RunRecord(
             run_id=self.run_id,
             path=self.path,
@@ -368,45 +372,47 @@ class RunStore:
         (on :class:`~repro.robust.locks.LockTimeout` we proceed
         unlocked — worst case a retry on the rename, never corruption).
         """
-        os.makedirs(self.root, exist_ok=True)
-        lock = FileLock(os.path.join(self.root, ".runs.lock"), timeout=30.0)
-        try:
-            lock.acquire()
-        except LockTimeout:
-            pass
-        try:
-            base = context.run_name()
-            run_id, final = self._allocate(base)
-            run_json = json.dumps(
-                _run_payload(
-                    run_id=run_id,
-                    status="running",
-                    context=context,
-                    planned=list(context.experiments),
-                    created_unix=created_unix,
-                ),
-                indent=2,
-                sort_keys=True,
-            ) + "\n"
-            tmp = staging_dir(final)
-            if os.path.exists(tmp):
-                # Left by a begin of this slot under the same pid that
-                # stopped between staging and publication.
-                shutil.rmtree(tmp)
+        tracer = get_tracer()
+        with tracer.span("runs.begin"):
+            os.makedirs(self.root, exist_ok=True)
+            lock = FileLock(os.path.join(self.root, ".runs.lock"), timeout=30.0)
             try:
-                os.makedirs(os.path.join(tmp, _RESULTS_DIR))
-                os.makedirs(os.path.join(tmp, _ARTIFACTS_DIR))
-                _atomic_write_text(os.path.join(tmp, RUN_FILE), run_json)
-                publish_dir(tmp, final)
-            except OSError:
-                # A failed write or rename (ENOSPC from fsync, say) must
-                # not leave the staging dir behind; a killed process
-                # leaves it to the pre-clear above.
-                shutil.rmtree(tmp, ignore_errors=True)
-                raise
-        finally:
-            lock.release()
-        get_tracer().count("runs.started")
+                lock.acquire()
+            except LockTimeout:
+                pass
+            try:
+                base = context.run_name()
+                run_id, final = self._allocate(base)
+                run_json = json.dumps(
+                    _run_payload(
+                        run_id=run_id,
+                        status="running",
+                        context=context,
+                        planned=list(context.experiments),
+                        created_unix=created_unix,
+                    ),
+                    indent=2,
+                    sort_keys=True,
+                ) + "\n"
+                tmp = staging_dir(final)
+                if os.path.exists(tmp):
+                    # Left by a begin of this slot under the same pid that
+                    # stopped between staging and publication.
+                    shutil.rmtree(tmp)
+                try:
+                    os.makedirs(os.path.join(tmp, _RESULTS_DIR))
+                    os.makedirs(os.path.join(tmp, _ARTIFACTS_DIR))
+                    _atomic_write_text(os.path.join(tmp, RUN_FILE), run_json)
+                    publish_dir(tmp, final)
+                except OSError:
+                    # A failed write or rename (ENOSPC from fsync, say) must
+                    # not leave the staging dir behind; a killed process
+                    # leaves it to the pre-clear above.
+                    shutil.rmtree(tmp, ignore_errors=True)
+                    raise
+            finally:
+                lock.release()
+        tracer.count("runs.started")
         return RunHandle(
             run_id, final, context, list(context.experiments), created_unix
         )

@@ -36,12 +36,18 @@ thread can — that is what makes ``timeout_seconds`` a real bound here.
 
 from __future__ import annotations
 
+import encodings.utf_32_le  # noqa: F401 - preloaded, see below
+import mmap  # noqa: F401 - preloaded, see below
 import platform
+import resource  # noqa: F401 - preloaded, see below
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+
+import numpy.ma  # noqa: F401 - preloaded, see below
+import numpy.random  # noqa: F401 - preloaded, see below
 
 from .. import __version__
 from ..obs.manifest import RunManifest, write_manifest
@@ -55,8 +61,12 @@ from ..synth.config import SimulationConfig
 from .settings import ServeSettings
 
 # The runner imports both registries, the dataset cache, the generator
-# and the partition streamer on first use.  Importing them with
-# the server leaves a forked compute worker nothing to import.
+# and the partition streamer on first use.  Below them, NumPy imports
+# numpy.random at the first generator, numpy.ma at the first np.unique
+# and mmap at the first mapped shard column; the store's text decoder
+# imports the UTF-32 codec, and the tracer resource at its first
+# peak-RSS reading.  Importing them with the server leaves a forked
+# compute worker nothing to import.
 from ..report import experiments as _classic, stream_experiments as _slices  # noqa: F401
 from ..synth import cache as _cache, fastgen, streamgen  # noqa: F401
 

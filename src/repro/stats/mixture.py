@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .information import aic, bic
+from .special import log_factorial, logsumexp
 
 __all__ = ["PoissonMixtureResult", "fit_poisson_mixture", "select_poisson_mixture"]
 
@@ -83,7 +83,7 @@ class PoissonMixtureResult:
             _log_emission(Y, self.rates, _log_factorial(Y))
             + np.log(self.weights)[None, :]
         )
-        return log_joint - logsumexp(log_joint, axis=1, keepdims=True)
+        return log_joint - logsumexp(log_joint)
 
     def responsibilities(self, Y: np.ndarray) -> np.ndarray:
         return np.exp(self.log_responsibilities(Y))
@@ -95,7 +95,7 @@ class PoissonMixtureResult:
 
 def _log_factorial(Y: np.ndarray) -> np.ndarray:
     """(n, 1) sum_j lgamma(y_ij + 1), the rate-free part of each row's term."""
-    return gammaln(Y + 1.0).sum(axis=1, keepdims=True)
+    return log_factorial(Y).sum(axis=1, keepdims=True)
 
 
 def _log_emission(
@@ -166,7 +166,7 @@ def _em_once(
             _log_emission(Y, rates, profiles.log_factorial)
             + np.log(weights)[None, :]
         )
-        log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+        log_norm = logsumexp(log_joint)
         new_loglik = float(counts @ log_norm[:, 0])
         resp = np.exp(log_joint - log_norm) * counts[:, None]  # (m, K)
 

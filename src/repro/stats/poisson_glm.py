@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .information import aic, bic, mcfadden_r2
+from .special import log_factorial, ndtr
 
 __all__ = ["PoissonResult", "fit_poisson", "poisson_loglik_terms", "add_intercept"]
 
@@ -31,7 +31,7 @@ def poisson_loglik_terms(y: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Pointwise Poisson log-likelihood for linear predictor ``eta``."""
     eta = np.clip(eta, -_MAX_ETA, _MAX_ETA)
     mu = np.exp(eta)
-    return y * eta - mu - gammaln(y + 1.0)
+    return y * eta - mu - log_factorial(y)
 
 
 @dataclass

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+
+from .special import ndtr
 
 __all__ = ["VuongResult", "vuong_test"]
 

@@ -35,11 +35,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit, gammaln, ndtr
 
 from ..obs.tracer import get_tracer
 from .information import aic, bic, mcfadden_r2
 from .poisson_glm import add_intercept
+from .special import expit, log_factorial, ndtr
 
 __all__ = ["ZIPResult", "fit_zip"]
 
@@ -86,7 +86,7 @@ def _zip_loglik_terms(
         log_one_minus_pi[pos]
         + y[pos] * eta[pos]
         - mu[pos]
-        - gammaln(y[pos] + 1.0)
+        - log_factorial(y[pos])
     )
     return terms
 
@@ -107,7 +107,7 @@ class _Objective:
         self.zero = y == 0
         self.pos = ~self.zero
         self.y_pos = y[self.pos]
-        self.log_y_factorial = gammaln(self.y_pos + 1.0)
+        self.log_y_factorial = log_factorial(self.y_pos)
 
     def _predictors(
         self, params: np.ndarray
@@ -420,7 +420,14 @@ def fit_zip(
             cov = np.linalg.inv(hessian)
         except np.linalg.LinAlgError:
             cov = np.linalg.pinv(hessian)
-        std_err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        # A covariate that is zero in every row leaves its Hessian row
+        # zero: its coefficient stays at 0 with no information, so its
+        # standard error is 0 (z undefined), not the ~1e-10 that pinv's
+        # SVD leaves there depending on the other entries' last bits.
+        informed = np.any(hessian != 0.0, axis=1)
+        std_err = np.where(
+            informed, np.sqrt(np.clip(np.diag(cov), 0.0, None)), 0.0
+        )
 
         # Null model: intercept-only in both components.
         null_x = np.ones((len(y), 1))

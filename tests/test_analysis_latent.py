@@ -21,6 +21,7 @@ from repro.analysis.latent import (
     user_month_profiles,
 )
 from repro.core import ContractType
+from repro.obs import disable_tracing, enable_tracing
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,19 @@ class TestFitLatentClasses:
         from repro.core import Month
 
         assert model.assignment_for(Month(2025, 1)) == {}
+
+    def test_gauges_say_whether_em_converged(self, tiny_dataset):
+        tracer = enable_tracing()
+        try:
+            capped = fit_latent_classes(tiny_dataset, k=8, seed=3, n_init=1)
+            gauges = dict(tracer.gauges)
+        finally:
+            disable_tracing()
+        mixture = capped.mixture
+        assert gauges["latent.rows"] == mixture.n_obs
+        assert gauges["latent.profiles"] == mixture.n_profiles
+        assert gauges["latent.iterations"] == mixture.n_iter
+        assert gauges["latent.converged"] == float(mixture.converged)
 
     def test_selection_mode(self, tiny_dataset):
         selected = fit_latent_classes(

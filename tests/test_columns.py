@@ -917,8 +917,9 @@ def ref_era_profiles(dataset: MarketDataset) -> List[EraProfile]:
 def ref_stimulus_test(
     dataset: MarketDataset,
     reference_months: int = 3,
-) -> StimulusResult:
-    """The paper's §6 COVID-19 conclusion as a computation."""
+) -> Tuple[StimulusResult, float]:
+    """The paper's §6 COVID-19 conclusion as a computation, and the
+    chi-square test's p-value."""
     late_stable_start = STABLE.end - dt.timedelta(days=int(30.44 * reference_months))
     late_stable = Era("late-STABLE", "E2b", late_stable_start, STABLE.end)
 
@@ -939,16 +940,17 @@ def ref_stimulus_test(
     matrix = matrix[:, keep]
     if matrix.shape[1] >= 2 and matrix.sum() > 0:
         chi2, p_value = chi2_contingency(matrix)
+        dof = (matrix.shape[0] - 1) * (matrix.shape[1] - 1)
     else:
-        chi2, p_value = 0.0, 1.0
+        chi2, p_value, dof = 0.0, 1.0, 0
 
     return StimulusResult(
         volume_ratio=covid_rate / stable_rate if stable_rate else float("inf"),
         type_drift=type_drift,
         category_drift=category_drift,
         chi2_statistic=float(chi2),
-        chi2_p_value=float(p_value),
-    )
+        chi2_dof=dof,
+    ), float(p_value)
 
 
 # --------------------------------------------------------------------- #
@@ -1776,7 +1778,10 @@ def test_era_profiles_parity(ds):
 
 
 def test_stimulus_test_parity(ds):
-    assert stimulus_test(ds) == ref_stimulus_test(ds)
+    result = stimulus_test(ds)
+    reference, p_value = ref_stimulus_test(ds)
+    assert result == reference
+    assert result.chi2_p_value == p_value
 
 
 def test_disputes_parity(ds):

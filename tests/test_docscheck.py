@@ -151,6 +151,100 @@ class TestDiscoveryAndCli:
         assert findings[0].path == os.path.join("docs", "index.md")
 
 
+CATALOGUE = """# Observability
+
+| Span | Where |
+|---|---|
+| `job.run` | the job |
+| `lazy.materialize.<entity>` | one entity list |
+
+| Counter | Meaning |
+|---|---|
+| `job.done` / `job.failed` | outcomes |
+
+Prose naming `job.gone` outside a table is not a row.
+"""
+
+EMITTER = '''
+from repro.obs.tracer import get_tracer
+
+
+def run(entity, parts):
+    tracer = get_tracer()
+    with tracer.span("job.run"):
+        with tracer.span(f"lazy.materialize.{entity}"):
+            tracer.count("job.done")
+    tracer.count(
+        "job.failed", 0)
+    parts.count(",")
+    "a.b".split(".")
+'''
+
+
+def telemetry_repo(tmp_path, catalogue=CATALOGUE, emitter=EMITTER):
+    root = make_repo(tmp_path, {"docs/observability.md": catalogue})
+    (root / "src" / "repro" / "job.py").write_text(emitter)
+    return root
+
+
+class TestTelemetryCatalogue:
+    def test_catalogued_names_pass(self, tmp_path):
+        assert check_repo(str(telemetry_repo(tmp_path))) == []
+
+    def test_uncatalogued_literal_is_flagged(self, tmp_path):
+        root = telemetry_repo(
+            tmp_path, emitter=EMITTER + '    get_tracer().gauge("job.level", 1)\n'
+        )
+        findings = check_repo(str(root))
+        assert kinds(findings) == [("uncatalogued-telemetry", 14)]
+        assert findings[0].path == os.path.join("src", "repro", "job.py")
+        assert "gauge job.level" in findings[0].detail
+
+    def test_uncatalogued_fstring_family_is_flagged(self, tmp_path):
+        root = telemetry_repo(tmp_path, emitter=EMITTER.replace(
+            'f"lazy.materialize.{entity}"', 'f"lazy.build.{entity}"'))
+        findings = check_repo(str(root))
+        assert sorted(f.detail for f in findings) == [
+            "span lazy.build.<…> is not in " + os.path.join("docs", "observability.md"),
+            "span lazy.materialize.<…> is catalogued but src/ never emits it",
+        ]
+
+    def test_stale_row_is_flagged(self, tmp_path):
+        root = telemetry_repo(tmp_path, catalogue=CATALOGUE.replace(
+            "| `job.run` | the job |",
+            "| `job.run` | the job |\n| `job.retired` | gone |"))
+        findings = check_repo(str(root))
+        assert kinds(findings) == [("stale-telemetry", 6)]
+        assert findings[0].path == os.path.join("docs", "observability.md")
+
+    def test_kinds_are_kept_apart(self, tmp_path):
+        # A counter row does not catalogue a span of the same name.
+        root = telemetry_repo(tmp_path, emitter=EMITTER.replace(
+            'tracer.span("job.run")', 'tracer.span("job.done")'))
+        details = sorted(f.detail for f in check_repo(str(root)))
+        assert details == [
+            "span job.done is not in " + os.path.join("docs", "observability.md"),
+            "span job.run is catalogued but src/ never emits it",
+        ]
+
+    def test_span_and_counter_parameters_are_names(self, tmp_path):
+        emitter = EMITTER + '''
+
+def pool(fn, span="job.pool", broken_counter="job.pool_broken"):
+    return fn(span="job.inner", fallback_counter="job.inline", workers=2)
+'''
+        findings = check_repo(str(telemetry_repo(tmp_path, emitter=emitter)))
+        assert sorted(f.detail.split(" is ")[0] for f in findings) == [
+            "counter job.inline", "counter job.pool_broken",
+            "span job.inner", "span job.pool",
+        ]
+
+    def test_no_catalogue_no_check(self, tmp_path):
+        root = make_repo(tmp_path, {"docs/index.md": "plain\n"})
+        (root / "src" / "repro" / "job.py").write_text(EMITTER)
+        assert check_repo(str(root)) == []
+
+
 class TestSelfCheck:
     def test_repository_docs_are_clean(self):
         assert check_repo(REPO_ROOT) == []

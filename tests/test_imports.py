@@ -1,10 +1,11 @@
 """Import boundaries: each ``python -m repro`` command loads only its layers.
 
-SciPy (the model fits in ``repro.stats``) and networkx (graph exports)
-cost over a second per process, so the package ``__init__`` modules
-re-export lazily and commands import what they run.  Every check here
-starts a fresh interpreter: the test session itself has long since
-imported everything.
+SciPy (left to the ablation-only hurdle, overdispersion and Sybil
+modules and the unprinted §6 p-value) and networkx (graph exports) cost
+over a second per process, so no command loads them, the package
+``__init__`` modules re-export lazily and commands import what they
+run.  Every check here starts a fresh interpreter: the test session
+itself has long since imported everything.
 """
 
 from __future__ import annotations
@@ -189,6 +190,7 @@ settings = ServeSettings(api_keys=(), cache_dir=root + "/cache",
 service = create_app(settings).state["service"]
 service.build_context("serve-report", ("table1",), 0.01, 7)
 before = set(sys.modules)
+scipy_before = sorted(m for m in before if m.split(".")[0] == "scipy")
 
 def compute(command, ids, **kwargs):
     context = service.build_context(command, ids, 0.01, 7, **kwargs)
@@ -202,8 +204,8 @@ for slice_id in STREAM_EXPERIMENTS:
                   store_kind="partitioned", params={"era": "covid-19"})
 new = sorted(set(sys.modules) - before)
 print(json.dumps({
-    "ok": ok, "new": new,
-    "scipy": sorted(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules),
+    "ok": ok, "new": new, "scipy_before": scipy_before,
+    "scipy_after": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
 }))
 """
 
@@ -216,12 +218,30 @@ def test_serve_compute_imports_nothing_after_startup(tmp_path):
     """
     report = json.loads(_python(_SERVE_CHECK, str(tmp_path)))
     assert report["ok"] and all(report["ok"])
-    assert [
-        m for m in report["new"]
-        if m.split(".")[0] in ("repro", "scipy", "networkx")
-    ] == []
-    # scipy.stats costs over half a second to import; the report and
-    # serve paths use scipy.special's ndtr/chdtrc in its place.  The ZIP
-    # fits solve their own Newton steps, so scipy.optimize (~0.3 s, and
-    # scipy.linalg and scipy.sparse with it) stays unloaded too.
-    assert report["scipy"] == []
+    # Not even a NumPy or standard-library module: the server preloads
+    # those a compute would import on first use (numpy.random, numpy.ma,
+    # mmap, the UTF-32 codec, resource; see repro.serve.services).
+    assert report["new"] == []
+    # The fits take their special functions from repro.stats.special
+    # and solve their own Newton steps, so no part of SciPy loads:
+    # scipy.special alone pulls in some 300 modules (~0.3 s, 25 MB).
+    assert report["scipy_before"] == []
+    assert report["scipy_after"] == []
+
+
+@pytest.mark.parametrize("command", ["report", "experiment", "eras"])
+def test_paper_commands_load_no_scipy(tmp_path, command):
+    """All 29 experiments of ``repro report``, a ZIP table through
+    ``repro experiment`` and the §6 stimulus test of ``repro eras`` run
+    without SciPy."""
+    out = tmp_path / "out"
+    argv = {
+        "report": ["report", "--cache-dir", str(tmp_path / "cache"),
+                   "--runs-dir", str(tmp_path / "runs"), "--out", str(out)],
+        "experiment": ["experiment", "table10", "--out", str(out)],
+        "eras": ["eras"],
+    }[command]
+    modules = _cli_modules(tmp_path, *argv, "--scale", "0.01", "--seed", "7")
+    expected = {"report": 29, "experiment": 1, "eras": 0}[command]
+    assert len(list(out.glob("*.txt"))) == expected
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []

@@ -6,6 +6,8 @@ byte-identical to an eager load."""
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -183,6 +185,83 @@ class TestManifest:
         os.remove(os.path.join(broken, store.manifest["months"][0]["file"]))
         with pytest.raises(CorruptStoreError):
             store.partition(store.months[0])
+
+
+def _replace_shard(store_path: str, name: str, data: bytes) -> None:
+    """Overwrite shard ``name`` with ``data`` and give the manifest its
+    checksum, so that only the shard's structure is on trial."""
+    with open(os.path.join(store_path, name), "wb") as handle:
+        handle.write(data)
+    manifest_path = os.path.join(store_path, MANIFEST_NAME)
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    manifest["checksums"][name] = hashlib.sha256(data).hexdigest()
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
+
+
+def _end_record(data: bytes) -> int:
+    return data.rindex(b"PK\x05\x06")
+
+
+#: Ways to damage a shard's zip directory, each keeping the file's
+#: checksum in the manifest true.
+DIRECTORY_DAMAGE = {
+    "truncated": lambda data: data[:-7],
+    "no end record": lambda data: data[:_end_record(data)] + b"\0" * 22,
+    "directory entry garbled": lambda data: data.replace(b"PK\x01\x02", b"PK\x09\x09", 1),
+    "directory offset past the end": lambda data: (
+        data[:_end_record(data) + 16] + b"\xff\xff\xff\x7f"
+        + data[_end_record(data) + 20:]
+    ),
+    "local header garbled": lambda data: b"XX" + data[2:],
+}
+
+
+class TestShardDirectory:
+    def test_savez_shard_is_readable(self, store_path, tmp_path):
+        """A shard written by np.savez (zip64 local headers) reads like
+        one of the store's own writer."""
+        path = str(tmp_path / "savez")
+        shutil.copytree(store_path, path)
+        store = PartitionStore.open(path)
+        month = store.months[len(store.months) // 2]
+        name = store.manifest["months"][store.months.index(month)]["file"]
+        with np.load(os.path.join(path, name)) as archive:
+            members = {key: archive[key] for key in archive.files}
+        buffer = io.BytesIO()
+        np.savez(buffer, **members)
+        _replace_shard(path, name, buffer.getvalue())
+
+        expected = PartitionStore.open(store_path).tables()
+        got = PartitionStore.open(path).tables()
+        assert set(got) == set(expected)
+        for key in expected:
+            assert np.array_equal(got[key], expected[key]), key
+        mapped = PartitionStore.open(path).partition(month)
+        original = PartitionStore.open(store_path).partition(month)
+        for key in ("c_id", "c_created_us", "c_maker_obligation"):
+            assert np.array_equal(mapped.col(key), original.col(key)), key
+
+    @pytest.mark.parametrize("damage", sorted(DIRECTORY_DAMAGE))
+    @pytest.mark.parametrize("read", ["tables", "partition"])
+    def test_damaged_directory_quarantines(self, store_path, tmp_path,
+                                           damage, read):
+        path = str(tmp_path / "damaged")
+        shutil.copytree(store_path, path)
+        store = PartitionStore.open(path)
+        name = store.manifest["months"][0]["file"]
+        with open(os.path.join(path, name), "rb") as handle:
+            data = handle.read()
+        _replace_shard(path, name, DIRECTORY_DAMAGE[damage](data))
+        store = PartitionStore.open(path)
+        with pytest.raises(CorruptStoreError):
+            if read == "tables":
+                store.tables()
+            else:
+                store.partition(store.months[0]).col("c_id")
+        assert not os.path.exists(path)
+        assert os.path.isdir(path + ".corrupt-1")
 
 
 def _payload_bytes(archive: zipfile.ZipFile, key: str) -> int:

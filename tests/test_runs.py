@@ -210,6 +210,19 @@ class TestRunStore:
         with open(artifact, "r", encoding="utf-8") as handle:
             assert handle.read().rstrip("\n") == results[0].text()
 
+    def test_writes_are_traced(self, tiny_result, tracer, tmp_path):
+        """Each store write has a span of its own, outside the
+        experiment spans a report runs it after."""
+        context = make_context(tiny_result.config, ["table1", "fig01"])
+        record = _record_run(RunStore(str(tmp_path)), context)
+        assert [span.name for span in tracer.roots] == [
+            "runs.begin", "runs.record", "runs.record", "runs.finish",
+        ]
+        counters = tracer.snapshot()["counters"]
+        assert counters["runs.started"] == 1
+        assert counters["runs.recorded"] == 2
+        assert counters[f"runs.finished.{record.status}"] == 1
+
     def test_rerun_gets_ordinal_suffix(self, tiny_result, market, tmp_path):
         store = RunStore(str(tmp_path))
         context = make_context(tiny_result.config, ["table1"])

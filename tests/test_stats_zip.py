@@ -6,7 +6,7 @@ from typing import Tuple
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import expit, ndtr
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from repro.analysis.coldstart import _design, cold_start_records
@@ -15,6 +15,7 @@ from repro.obs import disable_tracing, enable_tracing
 from repro.report.experiments import _zip_lines
 from repro.stats import zip_model
 from repro.stats.poisson_glm import add_intercept, fit_poisson
+from repro.stats.special import expit
 from repro.stats.vuong import vuong_test
 from repro.stats.zip_model import (
     _MAX_ETA,
@@ -209,6 +210,20 @@ class TestFitZip:
         result = fit_zip(X, y, Z, count_names=["a", "b"], zero_names=["c"])
         assert result.count_names == ["(Intercept)", "a", "b"]
         assert result.zero_names == ["(Intercept)", "c"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_all_zero_covariate_has_no_standard_error(self, seed):
+        # Its Hessian row is zero, so pinv inverts the rest; the column's
+        # own variance must read 0 on every market, not SVD round-off.
+        X, Z, y = simulate_zip(seed=seed, n=120)
+        X = np.column_stack([X[:, :1], np.zeros(len(y)), X[:, 1:]])
+        Z = np.column_stack([np.zeros(len(y)), Z])
+        result = fit_zip(X, y, Z)
+        unidentified = [result.count_coef[2], result.count_se[2],
+                        result.zero_coef[1], result.zero_se[1]]
+        assert np.array_equal(unidentified, np.zeros(4))
+        assert np.isnan(result.count_z[2]) and np.isnan(result.zero_z[1])
+        assert np.all(np.delete(result.count_se, 2) > 0)
 
     def test_aic_bic_finite(self):
         X, Z, y = simulate_zip(n=500)
